@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -274,7 +275,7 @@ func measureEpisodesPerSec(episodes int) float64 {
 		return env.New(db, cat, w)
 	}
 	start := time.Now()
-	if _, err := tuner.OfflineTrain(mkEnv, episodes); err != nil {
+	if _, err := tuner.OfflineTrain(context.Background(), mkEnv, core.TrainOptions{Episodes: episodes}); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: episodes bench: %v\n", err)
 		return 0
 	}

@@ -22,6 +22,7 @@ import (
 	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/simdb"
+	"cdbtune/internal/vfs"
 	"cdbtune/internal/workload"
 )
 
@@ -179,7 +180,6 @@ func cmdTrain(args []string) error {
 		Episodes: *episodes,
 		Workers:  *workers,
 		Resume:   *resume,
-		Deadline: *deadline,
 		Supervisor: core.SupervisorConfig{
 			Disabled:   *noSupervisor,
 			HealBudget: *healBudget,
@@ -196,7 +196,13 @@ func cmdTrain(args []string) error {
 			fmt.Printf("  %s\n", s)
 		}
 	}
-	rep, err := tuner.OfflineTrainOpts(mk, opts)
+	ctx := context.Background()
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
+	rep, err := tuner.OfflineTrain(ctx, mk, opts)
 	var dErr *core.DivergenceError
 	switch {
 	case err == nil:
@@ -238,7 +244,7 @@ func cmdTrain(args []string) error {
 	}
 	// Atomic write: a crash mid-save must never leave a truncated model
 	// where a good one stood.
-	if err := core.WriteAtomic(*model, tuner.Save); err != nil {
+	if err := vfs.WriteAtomic(vfs.OS, *model, tuner.Save); err != nil {
 		return err
 	}
 	fmt.Printf("model written to %s\n", *model)
@@ -310,7 +316,7 @@ func cmdTune(args []string) error {
 	// repeated failures and steers recommendations away from knob regions
 	// that crashed the instance — a no-op on a healthy run.
 	guard := core.NewGuardrail(0, 0)
-	res, err := tuner.OnlineTuneGuarded(e, *steps, true, guard)
+	res, err := tuner.OnlineTune(context.Background(), e, *steps, true, guard)
 	if err != nil {
 		return err
 	}
@@ -374,7 +380,7 @@ func runDynamic(tuner *core.Tuner, e *env.Env, steps int, hours, threshold, obse
 	}
 	var order []string
 	agg := map[string]*phaseAgg{}
-	rep, err := tuner.ServeDynamic(e, core.DynamicOptions{
+	rep, err := tuner.ServeDynamic(context.Background(), e, core.DynamicOptions{
 		HorizonHours: hours,
 		ObserveSec:   observeSec,
 		Drift:        core.DriftConfig{Threshold: threshold},

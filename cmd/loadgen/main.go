@@ -34,6 +34,7 @@ import (
 	"cdbtune/internal/registry"
 	"cdbtune/internal/rl/ddpg"
 	"cdbtune/internal/server"
+	"cdbtune/internal/vfs"
 )
 
 func main() {
@@ -192,7 +193,7 @@ func runDriver(dir string, ttl time.Duration, nodes, tenants, killIdx, stallIdx 
 
 	// Chaos, armed only once both victims own pending work, so the kill
 	// and the stall provably strand jobs for failover to recover.
-	journal, err := fleet.OpenJournal(filepath.Join(dir, "jobs"))
+	journal, err := fleet.OpenJournal(vfs.OS, filepath.Join(dir, "jobs"))
 	if err != nil {
 		return err
 	}

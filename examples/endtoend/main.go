@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,10 +40,10 @@ func main() {
 	// 1. DBA training request: cold-start the standard model with the
 	//    workload generator's standard workloads (§2.2.1).
 	fmt.Println("[controller] DBA training request: 25 episodes on CDB-A ...")
-	rep, err := ctl.HandleTrainingRequest(func(ep int) *env.Env {
+	rep, err := ctl.HandleTrainingRequest(context.Background(), func(ep int) *env.Env {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(ep))
 		return env.New(db, cat, workload.SysbenchRW())
-	}, 25, 1)
+	}, core.TrainOptions{Episodes: 25})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func main() {
 	//    workload the model has never seen verbatim.
 	fmt.Println("[controller] user tuning request received; capturing 150 s of workload ...")
 	userDB := simdb.New(knobs.EngineCDB, simdb.CDBA, 777)
-	res, err := ctl.HandleTuningRequest(userDB, workload.SysbenchRW())
+	res, err := ctl.HandleTuningRequest(context.Background(), userDB, workload.SysbenchRW())
 	if err != nil {
 		log.Fatal(err)
 	}

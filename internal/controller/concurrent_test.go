@@ -12,7 +12,7 @@ import (
 
 // TestConcurrentTuningRequests is the multi-tenant regression test: 8
 // sessions hammer one controller (one shared tuner, one shared guardrail)
-// through HandleTuningRequestCtx at once. Run under -race this pins down
+// through HandleTuningRequest at once. Run under -race this pins down
 // the controller's concurrency contract — the request counter, the
 // capture rng and the guardrail must all be synchronized, and every
 // request must still produce a valid, approved result against its own
@@ -33,7 +33,7 @@ func TestConcurrentTuningRequests(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(1000+i))
-			results[i], errs[i] = c.HandleTuningRequestCtx(context.Background(), db, loads[i%len(loads)])
+			results[i], errs[i] = c.HandleTuningRequest(context.Background(), db, loads[i%len(loads)])
 		}(i)
 	}
 	wg.Wait()

@@ -50,14 +50,15 @@ type Config struct {
 	// 150 seconds"); CaptureOpsPerSec the trace sampling rate.
 	CaptureSec       int
 	CaptureOpsPerSec float64
-	// OnlineSteps is the per-request recommendation budget (paper: 5).
+	// OnlineSteps is the per-request recommendation budget (0 = the
+	// core.Tuner.OnlineTune default, the paper's 5).
 	OnlineSteps int
 	Seed        int64
 	// GuardK is the consecutive-failure budget before the safety guardrail
-	// reverts the instance to its best-known-good configuration (0 = the
-	// guardrail default of 3); GuardRadius is the normalized knob distance
-	// under which a recommendation counts as re-entering a recorded
-	// near-crash region (0 = default 0.05).
+	// reverts the instance to its best-known-good configuration;
+	// GuardRadius is the normalized knob distance under which a
+	// recommendation counts as re-entering a recorded near-crash region.
+	// Zero values take the core.NewGuardrail defaults.
 	GuardK      int
 	GuardRadius float64
 }
@@ -90,9 +91,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.CaptureOpsPerSec == 0 {
 		cfg.CaptureOpsPerSec = 50
-	}
-	if cfg.OnlineSteps == 0 {
-		cfg.OnlineSteps = 5
 	}
 	return &Controller{
 		cfg:   cfg,
@@ -134,17 +132,13 @@ type RequestResult struct {
 // its best-known-good configuration rather than left on a bad one. db is
 // any measurement target satisfying env.Database — the simulator directly,
 // or a chaos-wrapped instance in resilience tests.
-func (c *Controller) HandleTuningRequest(db env.Database, userWorkload workload.Workload) (RequestResult, error) {
-	return c.HandleTuningRequestCtx(context.Background(), db, userWorkload)
-}
-
-// HandleTuningRequestCtx is HandleTuningRequest under a context. A
-// cancelled or past-deadline ctx abandons the request promptly: the tuning
-// loop stops recommending, and because the license step never ran the
-// instance is rolled back to its pre-request configuration before the
+//
+// A cancelled or past-deadline ctx abandons the request promptly: the
+// tuning loop stops recommending, and because the license step never ran
+// the instance is rolled back to its pre-request configuration before the
 // context's error is returned (with valid partial accounting in the
 // result).
-func (c *Controller) HandleTuningRequestCtx(ctx context.Context, db env.Database, userWorkload workload.Workload) (RequestResult, error) {
+func (c *Controller) HandleTuningRequest(ctx context.Context, db env.Database, userWorkload workload.Workload) (RequestResult, error) {
 	var out RequestResult
 	cat := c.cfg.Tuner.Config().Cat
 
@@ -165,7 +159,7 @@ func (c *Controller) HandleTuningRequestCtx(ctx context.Context, db env.Database
 	before := db.CurrentKnobs(cat)
 
 	e := env.New(db, cat, replayed)
-	res, err := c.cfg.Tuner.OnlineTuneCtx(ctx, e, c.cfg.OnlineSteps, true, c.guard)
+	res, err := c.cfg.Tuner.OnlineTune(ctx, e, c.cfg.OnlineSteps, true, c.guard)
 	out.TuneResult = res
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -209,16 +203,11 @@ func applyWithRetry(db env.Database, cat *knobs.Catalog, values []float64) error
 
 // HandleTrainingRequest serves a DBA training request: offline training
 // with the workload generator's standard workloads, optionally across
-// parallel training instances (§5.1's 30-server setup). The unified
-// trainer handles any worker count, serial included.
-func (c *Controller) HandleTrainingRequest(mkEnv core.EnvFactory, episodes, workers int) (core.TrainReport, error) {
-	return c.cfg.Tuner.OfflineTrainParallel(mkEnv, episodes, workers)
-}
-
-// HandleTrainingRequestOpts is HandleTrainingRequest with the full option
-// set — checkpoint/resume, worker-respawn budget, telemetry hooks.
-func (c *Controller) HandleTrainingRequestOpts(mkEnv core.EnvFactory, opts core.TrainOptions) (core.TrainReport, error) {
-	return c.cfg.Tuner.OfflineTrainOpts(mkEnv, opts)
+// parallel training instances (opts.Workers, §5.1's 30-server setup),
+// with checkpoint/resume, worker-respawn budget and telemetry hooks as
+// core.Tuner.OfflineTrain documents them.
+func (c *Controller) HandleTrainingRequest(ctx context.Context, mkEnv core.EnvFactory, opts core.TrainOptions) (core.TrainReport, error) {
+	return c.cfg.Tuner.OfflineTrain(ctx, mkEnv, opts)
 }
 
 // SaveModel and LoadModel persist the tuning model across controller

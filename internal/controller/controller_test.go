@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cdbtune/internal/core"
@@ -44,7 +45,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.CaptureSec != 150 || c.cfg.OnlineSteps != 5 {
+	// OnlineSteps stays 0: its default lives in core.Tuner.OnlineTune.
+	if c.cfg.CaptureSec != 150 || c.cfg.OnlineSteps != 0 {
 		t.Fatalf("defaults not applied: %+v", c.cfg)
 	}
 }
@@ -56,7 +58,7 @@ func TestTuningRequestEndToEnd(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(100+ep))
 		return env.New(db, cat, workload.SysbenchRW())
 	}
-	if _, err := tn.OfflineTrain(mk, 4); err != nil {
+	if _, err := tn.OfflineTrain(context.Background(), mk, core.TrainOptions{Episodes: 4}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Config{Tuner: tn, Seed: 1})
@@ -64,7 +66,7 @@ func TestTuningRequestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := simdb.New(knobs.EngineCDB, simdb.CDBA, 999)
-	res, err := c.HandleTuningRequest(db, workload.SysbenchRW())
+	res, err := c.HandleTuningRequest(context.Background(), db, workload.SysbenchRW())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestRejectionRollsBack(t *testing.T) {
 	db := simdb.New(knobs.EngineCDB, simdb.CDBA, 42)
 	hw := db.Instance().HW
 	before := cat.Denormalize(db.CurrentKnobs(cat), hw.RAMGB, hw.DiskGB)
-	res, err := c.HandleTuningRequest(db, workload.TPCC())
+	res, err := c.HandleTuningRequest(context.Background(), db, workload.TPCC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestTrainingRequest(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(500+ep))
 		return env.New(db, cat, workload.SysbenchWO())
 	}
-	rep, err := c.HandleTrainingRequest(mk, 3, 1)
+	rep, err := c.HandleTrainingRequest(context.Background(), mk, core.TrainOptions{Episodes: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestTrainingRequest(t *testing.T) {
 		t.Fatalf("Episodes = %d", rep.Episodes)
 	}
 	// Parallel path.
-	rep, err = c.HandleTrainingRequest(mk, 4, 2)
+	rep, err = c.HandleTrainingRequest(context.Background(), mk, core.TrainOptions{Episodes: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,16 +9,8 @@ import (
 	"io"
 	"os"
 
-	"cdbtune/internal/nn"
 	"cdbtune/internal/vfs"
 )
-
-// WriteAtomic writes a file atomically and durably (temp file + fsync +
-// rename + directory fsync). It is nn.WriteAtomic re-exported under the
-// name the training stack has always used.
-func WriteAtomic(path string, write func(io.Writer) error) error {
-	return nn.WriteAtomic(path, write)
-}
 
 // WriteFramed writes payload to w followed by the 8-byte integrity footer
 // (4 magic bytes + the little-endian IEEE CRC32 of the payload) that
@@ -81,7 +73,7 @@ func (c *Checkpointer) fsys() vfs.FS {
 // exact disk path Checkpointer.save takes — exported so the
 // crash-consistency harness can drive it without assembling a Tuner.
 func WriteCheckpointPayload(fsys vfs.FS, path string, payload []byte) error {
-	return nn.WriteAtomicFS(fsys, path, func(w io.Writer) error {
+	return vfs.WriteAtomic(fsys, path, func(w io.Writer) error {
 		return WriteFramed(w, payload, checkpointMagic)
 	})
 }

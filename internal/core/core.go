@@ -303,15 +303,6 @@ type LearnerReport struct {
 // instance (§2.2.1 cold start).
 type EnvFactory func(episode int) *env.Env
 
-// OfflineTrain trains the model for the given number of episodes. Each
-// episode resets to the default configuration, measures T0/L0, then
-// walks StepsPerEpisode try-and-error steps. Crashes are punished
-// (§5.2.3) and the instance is restarted with defaults so the episode's
-// remaining steps still produce samples.
-func (t *Tuner) OfflineTrain(mkEnv EnvFactory, episodes int) (TrainReport, error) {
-	return t.OfflineTrainOpts(mkEnv, TrainOptions{Episodes: episodes, Workers: 1})
-}
-
 // maybeSnapshot probes the current greedy policy on a fresh environment
 // and keeps a copy of the model when it is the best seen so far. Probe
 // steps do not enter the memory pool or the iteration count.
@@ -717,38 +708,28 @@ type TuneResult struct {
 
 // OnlineTune serves one tuning request (§2.1.2): replay the user's
 // workload (already baked into e), recommend with the trained model for
-// `steps` steps (the paper uses 5), fine-tune the model on the observed
+// `steps` steps (0 = the paper's 5), fine-tune the model on the observed
 // feedback, and return the configuration with the best observed
 // performance. The memory pool keeps the new transitions — incremental
 // training (§2.1.1).
-func (t *Tuner) OnlineTune(e *env.Env, steps int, fineTune bool) (TuneResult, error) {
-	return t.OnlineTuneGuarded(e, steps, fineTune, nil)
-}
-
-// OnlineTuneGuarded is OnlineTune with a safety guardrail: g screens
-// every recommendation against remembered near-crash regions, tracks the
-// request's best-known-good configuration, and reverts the instance to it
-// after K consecutive failed or crashed steps. Whatever happens during
+//
+// A non-nil g is the safety guardrail: it screens every recommendation
+// against remembered near-crash regions, tracks the request's
+// best-known-good configuration, and reverts the instance to it after K
+// consecutive failed or crashed steps. Whatever happens during
 // exploration, the instance ends the request on the best configuration
 // actually measured — never on a crashing one. A nil g runs unguarded.
-func (t *Tuner) OnlineTuneGuarded(e *env.Env, steps int, fineTune bool, g *Guardrail) (TuneResult, error) {
-	return t.OnlineTuneCtx(context.Background(), e, steps, fineTune, g)
-}
-
-// OnlineTuneCtx is OnlineTuneGuarded under a context: a cancelled or
-// past-deadline ctx stops recommending promptly (checked before every
-// step; the environment is bound to ctx so backoff waits abort too), but
-// the request still ends with the best-effort deploy of the best
-// configuration measured so far — an abandoned request must not leave the
-// instance on an exploratory configuration. The returned error is then
-// ctx's error and the TuneResult is valid partial accounting.
-func (t *Tuner) OnlineTuneCtx(ctx context.Context, e *env.Env, steps int, fineTune bool, g *Guardrail) (TuneResult, error) {
+//
+// A cancelled or past-deadline ctx stops recommending promptly (checked
+// before every step; the environment is bound to ctx so backoff waits
+// abort too), but the request still ends with the best-effort deploy of
+// the best configuration measured so far — an abandoned request must not
+// leave the instance on an exploratory configuration. The returned error
+// is then ctx's error and the TuneResult is valid partial accounting.
+func (t *Tuner) OnlineTune(ctx context.Context, e *env.Env, steps int, fineTune bool, g *Guardrail) (TuneResult, error) {
 	var out TuneResult
 	if steps <= 0 {
 		steps = 5
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	e.Bind(ctx)
 	defer e.Bind(nil)

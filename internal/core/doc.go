@@ -7,15 +7,14 @@
 //
 // # Concurrency contract
 //
-// A Tuner is safe for one training run (OfflineTrain, OfflineTrainOpts,
-// OfflineTrainParallel) or one OnlineTune call at a time; those
-// entry points themselves must not be invoked concurrently with each
-// other on the same Tuner. Inside a parallel training run, worker
+// A Tuner is safe for one OfflineTrain run or one OnlineTune (or
+// ServeDynamic) call at a time; those entry points themselves must not be
+// invoked concurrently with each other on the same Tuner. Inside a parallel training run, worker
 // goroutines share the agent under this discipline:
 //
 //   - agentMu serializes everything that touches the agent's networks,
 //     optimizers or rng: action selection (Act/ActBatch/Perturb),
-//     gradient updates (TrainStep), snapshot Save/Load, and the
+//     gradient updates (TrainStepInfo), snapshot Save/Load, and the
 //     self-imitation target.
 //   - Observe (storing a transition) is serialized by agentMu only when
 //     the replay pool is the default single-lock flavor. With
@@ -29,7 +28,7 @@
 //   - The learner-health supervisor has no locking of its own: it is
 //     installed before workers start and cleared after they join (both
 //     under agentMu), and observe/heal/Stats are invoked only while
-//     agentMu is held — observe immediately after each TrainStep, Stats
+//     agentMu is held — observe immediately after each TrainStepInfo, Stats
 //     from the per-episode accounting section. Rollback (agent.Restore),
 //     LR backoff and noise backoff therefore never race a concurrent
 //     update. A *DivergenceError returned by observe propagates out of
@@ -39,10 +38,11 @@
 //
 // # Cancellation contract
 //
-// TrainOptions.Ctx and Deadline bound a training run; OnlineTuneCtx
-// bounds an online request. The context is bound to each worker's
-// environment (env.Bind), which checks it on Step/Measure entry and
-// before every retry backoff — cancellation is never counted as a
+// Every entry point takes a context first: it bounds a training run
+// (OfflineTrain), an online request (OnlineTune) or a serving window
+// (ServeDynamic); a wall-clock bound is a context deadline. The context
+// is bound to each worker's environment (env.Bind), which checks it on
+// Step/Measure entry and before every retry backoff — cancellation is never counted as a
 // measurement fault and never retried. Workers observe cancellation at
 // the next step boundary, the dispatcher stops handing out episodes, and
 // the run returns ctx.Err() alongside a valid partial report. The online
@@ -60,7 +60,7 @@
 //	   ▲                                                  │
 //	   └────────────────actions (fan-out)─────────────────┘
 //	workers ──transitions──► sharded replay memory (no agentMu)
-//	workers ──TrainStep (sample + update)──► agent (agentMu)
+//	workers ──TrainStepInfo (sample + update)──► agent (agentMu)
 //
 // The batcher folds every in-flight action request (up to the worker
 // count, waiting at most a 200µs latency cap for stragglers) into one
@@ -97,7 +97,7 @@
 // firing off a half-filled EWMA or immediately after its own re-tune.
 //
 // Interaction with the Guardrail and Supervisor: every re-tune runs
-// through OnlineTuneCtx under one Guardrail that persists across the
+// through OnlineTune under one Guardrail that persists across the
 // whole serving window, so near-crash regions screened during one burst
 // still veto recommendations hours later, and K consecutive failures
 // inside any re-tune revert to the window's best-known-good
@@ -120,6 +120,6 @@
 // ActNoisy return freshly allocated action slices, never views into
 // network-owned scratch. That is what makes it safe for the batcher to
 // release agentMu and fan actions out to workers that read them after
-// another batch (or a concurrent TrainStep) has already run the actor
+// another batch (or a concurrent TrainStepInfo) has already run the actor
 // again.
 package core

@@ -85,7 +85,7 @@ type DynamicOptions struct {
 	// Drift configures the detector (zero values → calibrated defaults).
 	Drift DriftConfig
 	// Guard is the safety guardrail handed to every re-tune; nil builds
-	// a fresh NewGuardrail(3, 0.05) for the window. The guardrail
+	// a fresh default NewGuardrail(0, 0) for the window. The guardrail
 	// persists across re-tunes, so near-crash regions learned during one
 	// burst still screen recommendations during the next.
 	Guard *Guardrail
@@ -108,10 +108,6 @@ type DynamicOptions struct {
 	OnSample  func(DynamicSample)
 	OnEvent   func(DynamicEvent)
 	OnEpisode EpisodeHook
-	// Ctx bounds the window; cancellation stops serving after the
-	// current observation or re-tune and returns ctx's error with valid
-	// partial accounting.
-	Ctx context.Context
 }
 
 // DynamicReport summarizes a dynamic serving window.
@@ -155,7 +151,7 @@ func (r DynamicReport) MeanThroughput() float64 {
 // feeds each normalized state to a DriftDetector rebased on the
 // post-tuning fingerprint, and when the smoothed fingerprint distance
 // crosses the threshold it runs an in-place guarded re-tune
-// (OnlineTuneCtx), optionally warm-seeded from a registry model via
+// (OnlineTune), optionally warm-seeded from a registry model via
 // opts.WarmSeed. Crashes at the serving configuration revert to
 // defaults and re-tune from there; the guardrail screens every re-tune
 // recommendation and reverts after consecutive failures, so the
@@ -163,9 +159,11 @@ func (r DynamicReport) MeanThroughput() float64 {
 //
 // The environment must carry a workload.Timeline; its DurationSec is
 // overridden to opts.ObserveSec for the duration of the window and
-// restored on return. See the package doc for the detector's
-// interaction with the Guardrail and Supervisor.
-func (t *Tuner) ServeDynamic(e *env.Env, opts DynamicOptions) (DynamicReport, error) {
+// restored on return. Cancelling ctx stops serving after the current
+// observation or re-tune and returns ctx's error with valid partial
+// accounting. See the package doc for the detector's interaction with
+// the Guardrail and Supervisor.
+func (t *Tuner) ServeDynamic(ctx context.Context, e *env.Env, opts DynamicOptions) (DynamicReport, error) {
 	var out DynamicReport
 	if e.Timeline == nil {
 		return out, errors.New("core: ServeDynamic requires an environment with a Timeline")
@@ -179,13 +177,9 @@ func (t *Tuner) ServeDynamic(e *env.Env, opts DynamicOptions) (DynamicReport, er
 	if opts.HorizonHours <= 0 {
 		opts.HorizonHours = e.Timeline.TotalHours()
 	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	guard := opts.Guard
 	if guard == nil {
-		guard = NewGuardrail(3, 0.05)
+		guard = NewGuardrail(0, 0)
 	}
 	det := NewDriftDetector(opts.Drift)
 
@@ -296,8 +290,8 @@ func (t *Tuner) ServeDynamic(e *env.Env, opts DynamicOptions) (DynamicReport, er
 				seed = label
 			}
 		}
-		tr, terr := t.OnlineTuneCtx(ctx, e, opts.ReTuneSteps, opts.FineTune, guard)
-		e.Bind(ctx) // OnlineTuneCtx unbinds on return
+		tr, terr := t.OnlineTune(ctx, e, opts.ReTuneSteps, opts.FineTune, guard)
+		e.Bind(ctx) // OnlineTune unbinds on return
 		out.Crashes += tr.Crashes
 		out.Reverts += tr.Reverts
 		out.Vetoes += tr.Vetoes

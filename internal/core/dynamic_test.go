@@ -28,7 +28,7 @@ func TestServeDynamicRequiresTimeline(t *testing.T) {
 	}
 	db := simdb.New(knobs.EngineCDB, simdb.CDBA, 1)
 	e := env.New(db, cat, workload.SysbenchRW())
-	if _, err := tn.ServeDynamic(e, DynamicOptions{}); err == nil {
+	if _, err := tn.ServeDynamic(context.Background(), e, DynamicOptions{}); err == nil {
 		t.Fatal("ServeDynamic accepted a stationary environment")
 	}
 }
@@ -42,7 +42,7 @@ func TestDynamicServeRetunesOnBurst(t *testing.T) {
 	e := dynamicEnv(t, cat, 11)
 
 	var events []DynamicEvent
-	rep, err := tn.ServeDynamic(e, DynamicOptions{
+	rep, err := tn.ServeDynamic(context.Background(), e, DynamicOptions{
 		HorizonHours: 6,
 		WarmSeed: func(state []float64, w workload.Workload) (string, bool) {
 			if len(state) == 0 || w.Threads == 0 {
@@ -103,7 +103,7 @@ func TestDynamicServeRevertsOnChaos(t *testing.T) {
 	e.Timeline = workload.FlashCrowd(base)
 
 	var stats []EpisodeStats
-	rep, err := tn.ServeDynamic(e, DynamicOptions{
+	rep, err := tn.ServeDynamic(context.Background(), e, DynamicOptions{
 		HorizonHours: 8,
 		OnEpisode:    func(s EpisodeStats) { stats = append(stats, s) },
 	})
@@ -140,9 +140,8 @@ func TestDynamicServeCancellation(t *testing.T) {
 	e := dynamicEnv(t, cat, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	_, err = tn.ServeDynamic(e, DynamicOptions{
+	_, err = tn.ServeDynamic(ctx, e, DynamicOptions{
 		HorizonHours: 100,
-		Ctx:          ctx,
 		OnSample: func(DynamicSample) {
 			n++
 			if n == 2 {
@@ -168,7 +167,7 @@ func TestDriftSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := dynamicEnv(t, cat, 1)
-	rep, err := tn.ServeDynamic(e, DynamicOptions{HorizonHours: 6})
+	rep, err := tn.ServeDynamic(context.Background(), e, DynamicOptions{HorizonHours: 6})
 	if err != nil {
 		t.Fatalf("ServeDynamic: %v", err)
 	}

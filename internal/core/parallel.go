@@ -11,15 +11,15 @@ import (
 	"cdbtune/internal/simdb"
 )
 
-// OfflineTrainParallel runs offline training with `workers` concurrent
+// OfflineTrain trains the model for opts.Episodes episodes. Each
+// episode resets to the default configuration, measures T0/L0, then walks
+// StepsPerEpisode try-and-error steps; crashes are punished (§5.2.3) and
+// the instance is restarted with defaults so the episode's remaining
+// steps still produce samples. With opts.Workers ≥ 2 it runs concurrent
 // environments sharing one agent, the simulator's stand-in for the 30
 // training servers §5.1 uses to cut offline training time.
-func (t *Tuner) OfflineTrainParallel(mkEnv EnvFactory, episodes, workers int) (TrainReport, error) {
-	return t.OfflineTrainOpts(mkEnv, TrainOptions{Episodes: episodes, Workers: workers})
-}
-
-// OfflineTrainOpts is the offline trainer behind OfflineTrain and
-// OfflineTrainParallel: a work-sharing loop where each worker repeatedly
+//
+// The trainer is a work-sharing loop where each worker repeatedly
 // claims the next episode index, runs it on a fresh environment from
 // mkEnv, and folds the outcome into one shared report. Gradient updates
 // are serialized on the agent lock, but the other two hot-path agent
@@ -59,7 +59,12 @@ func (t *Tuner) OfflineTrainParallel(mkEnv EnvFactory, episodes, workers int) (T
 // learning state persist atomically every Checkpointer.Every episodes,
 // and TrainOptions.Resume continues a killed run so its final report
 // matches an uninterrupted one's episode accounting.
-func (t *Tuner) OfflineTrainOpts(mkEnv EnvFactory, opts TrainOptions) (TrainReport, error) {
+//
+// Cancelling ctx stops the run: no new episode is handed out and every
+// worker's environment fails fast. The run drains promptly and returns
+// ctx's error with valid partial accounting (episodes completed before
+// cancellation are fully reported).
+func (t *Tuner) OfflineTrain(ctx context.Context, mkEnv EnvFactory, opts TrainOptions) (TrainReport, error) {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -71,15 +76,6 @@ func (t *Tuner) OfflineTrainOpts(mkEnv EnvFactory, opts TrainOptions) (TrainRepo
 	maxRespawns := opts.MaxWorkerRespawns
 	if maxRespawns <= 0 {
 		maxRespawns = 8
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
 	}
 
 	var rep TrainReport

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cdbtune/internal/env"
@@ -52,9 +53,9 @@ func TestParallelSingleWorkerMatchesSerial(t *testing.T) {
 		}
 		var rep TrainReport
 		if parallel {
-			rep, err = tn.OfflineTrainParallel(mkEnvFactory(cat, w, 1000), 6, 1)
+			rep, err = tn.OfflineTrain(context.Background(), mkEnvFactory(cat, w, 1000), TrainOptions{Episodes: 6, Workers: 1})
 		} else {
-			rep, err = tn.OfflineTrain(mkEnvFactory(cat, w, 1000), 6)
+			rep, err = tn.OfflineTrain(context.Background(), mkEnvFactory(cat, w, 1000), TrainOptions{Episodes: 6})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +88,7 @@ func TestParallelNoiseAnnealingAndTelemetry(t *testing.T) {
 	}
 	const episodes, workers = 8, 4
 	var recs []EpisodeStats
-	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 1100), TrainOptions{
+	rep, err := tn.OfflineTrain(context.Background(), mkEnvFactory(cat, workload.SysbenchRW(), 1100), TrainOptions{
 		Episodes:  episodes,
 		Workers:   workers,
 		OnEpisode: func(s EpisodeStats) { recs = append(recs, s) },
@@ -150,7 +151,7 @@ func TestParallelConvergenceReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.OfflineTrainParallel(mkEnvFactory(cat, workload.SysbenchRW(), 1200), 4, 2)
+	rep, err := tn.OfflineTrain(context.Background(), mkEnvFactory(cat, workload.SysbenchRW(), 1200), TrainOptions{Episodes: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestParallelErrorDoesNotCountEpisodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := knobs.MySQL(knobs.EngineCDB).Subset([]int{0, 1})
-	rep, err := tn.OfflineTrainParallel(mkEnvFactory(other, workload.TPCC(), 1300), 4, 2)
+	rep, err := tn.OfflineTrain(context.Background(), mkEnvFactory(other, workload.TPCC(), 1300), TrainOptions{Episodes: 4, Workers: 2})
 	if err == nil {
 		t.Fatal("knob-count mismatch must error")
 	}
@@ -192,7 +193,7 @@ func TestOnlineTuneCrashRecoveryConditionsOnRecoveredState(t *testing.T) {
 	tn.Agent().SetBCTarget(crashConfig(t, cat))
 	e := mkEnvFactory(cat, workload.SysbenchWO(), 640)(0)
 	const steps = 3
-	res, err := tn.OnlineTune(e, steps, false)
+	res, err := tn.OnlineTune(context.Background(), e, steps, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestOfflineTrainRemeasuresAfterCrash(t *testing.T) {
 		return env.New(db, cat, w)
 	}
 	const episodes = 2
-	rep, err := tn.OfflineTrain(mk, episodes)
+	rep, err := tn.OfflineTrain(context.Background(), mk, TrainOptions{Episodes: episodes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -41,7 +40,7 @@ func TestWorkerLostRespawns(t *testing.T) {
 	in := chaos.New(chaos.Config{KillWorkerAtRun: 15})
 	const episodes = 6
 	var stats []EpisodeStats
-	rep, err := tn.OfflineTrainOpts(chaosFactory(cat, w, 500, in), TrainOptions{
+	rep, err := tn.OfflineTrain(context.Background(), chaosFactory(cat, w, 500, in), TrainOptions{
 		Episodes:  episodes,
 		Workers:   2,
 		OnEpisode: func(s EpisodeStats) { stats = append(stats, s) },
@@ -90,7 +89,7 @@ func TestWorkerRespawnBudgetExhausts(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, int64(ep))
 		return env.New(alwaysLost{Database: db}, cat, w)
 	}
-	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{Episodes: 4, Workers: 2, MaxWorkerRespawns: 3})
+	rep, err := tn.OfflineTrain(context.Background(), mk, TrainOptions{Episodes: 4, Workers: 2, MaxWorkerRespawns: 3})
 	if err == nil {
 		t.Fatal("permanently dying workers must eventually fail the run")
 	}
@@ -119,7 +118,7 @@ func TestCheckpointResumeMatchesUnkilled(t *testing.T) {
 	}
 
 	// Reference: one uninterrupted run.
-	full, err := fresh().OfflineTrainOpts(mkEnvFactory(cat, w, 1000), TrainOptions{Episodes: episodes})
+	full, err := fresh().OfflineTrain(context.Background(), mkEnvFactory(cat, w, 1000), TrainOptions{Episodes: episodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestCheckpointResumeMatchesUnkilled(t *testing.T) {
 	// "Killed" run: the process stops after killAfter episodes, leaving
 	// only the checkpoint behind.
 	ck := &Checkpointer{Path: ckpt, Every: 1}
-	if _, err := fresh().OfflineTrainOpts(mkEnvFactory(cat, w, 1000), TrainOptions{
+	if _, err := fresh().OfflineTrain(context.Background(), mkEnvFactory(cat, w, 1000), TrainOptions{
 		Episodes: killAfter, Checkpoint: ck,
 	}); err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestCheckpointResumeMatchesUnkilled(t *testing.T) {
 
 	// Resume in a brand-new process (a brand-new tuner).
 	resumedTuner := fresh()
-	resumed, err := resumedTuner.OfflineTrainOpts(mkEnvFactory(cat, w, 1000), TrainOptions{
+	resumed, err := resumedTuner.OfflineTrain(context.Background(), mkEnvFactory(cat, w, 1000), TrainOptions{
 		Episodes: episodes, Checkpoint: ck, Resume: true,
 	})
 	if err != nil {
@@ -158,7 +157,7 @@ func TestCheckpointResumeMatchesUnkilled(t *testing.T) {
 	}
 
 	// Resuming a finished run is a no-op with full accounting.
-	again, err := fresh().OfflineTrainOpts(mkEnvFactory(cat, w, 1000), TrainOptions{
+	again, err := fresh().OfflineTrain(context.Background(), mkEnvFactory(cat, w, 1000), TrainOptions{
 		Episodes: episodes, Checkpoint: ck, Resume: true,
 	})
 	if err != nil {
@@ -166,40 +165,6 @@ func TestCheckpointResumeMatchesUnkilled(t *testing.T) {
 	}
 	if again.Episodes != episodes || again.ResumedEpisodes != episodes {
 		t.Fatalf("re-resume accounting: %+v", again)
-	}
-}
-
-func TestWriteAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := os.WriteFile(path, []byte("good"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A failing writer must leave the original intact and no temp litter.
-	boom := errors.New("boom")
-	err := WriteAtomic(path, func(io.Writer) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "good" {
-		t.Fatalf("original clobbered: %q, %v", got, err)
-	}
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("temp file left behind: %v", entries)
-	}
-	// A successful writer replaces the content.
-	if err := WriteAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("new"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "new" {
-		t.Fatalf("content = %q", got)
 	}
 }
 
@@ -275,7 +240,7 @@ func TestGuardedTuneSurvivesCrashStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Light pre-training so recommendations are not random.
-	if _, err := tn.OfflineTrain(mkEnvFactory(cat, w, 300), 2); err != nil {
+	if _, err := tn.OfflineTrain(context.Background(), mkEnvFactory(cat, w, 300), TrainOptions{Episodes: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// The first run is the baseline measurement; everything after crashes.
@@ -285,7 +250,7 @@ func TestGuardedTuneSurvivesCrashStorm(t *testing.T) {
 	before := db.CurrentKnobs(cat)
 
 	g := NewGuardrail(2, 0.05)
-	res, err := tn.OnlineTuneGuarded(e, 5, true, g)
+	res, err := tn.OnlineTune(context.Background(), e, 5, true, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // TestConcurrentObserveSampleAct hammers the tuner's three hot-path agent
 // operations from 8 goroutines at once — Observe into the sharded pool
 // (no agent lock), batched Act through the inference batcher, and
-// TrainStep (Sample + UpdatePriorities + gradient update) under the agent
+// TrainStepInfo (Sample + UpdatePriorities + gradient update) under the agent
 // lock. Its job is to fail under the race detector (`make check` runs the
 // suite with -race) if the concurrency contract in doc.go is ever broken.
 func TestConcurrentObserveSampleAct(t *testing.T) {
@@ -60,7 +61,7 @@ func TestConcurrentObserveSampleAct(t *testing.T) {
 				})
 				if i%4 == 0 {
 					tn.agentMu.Lock()
-					tn.agent.TrainStep()
+					tn.agent.TrainStepInfo()
 					tn.agentMu.Unlock()
 				}
 			}
@@ -89,7 +90,7 @@ func TestParallelTrainingWithShardsAndBatching(t *testing.T) {
 	}
 	const episodes, workers = 8, 4
 	var recs []EpisodeStats
-	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 4200), TrainOptions{
+	rep, err := tn.OfflineTrain(context.Background(), mkEnvFactory(cat, workload.SysbenchRW(), 4200), TrainOptions{
 		Episodes:  episodes,
 		Workers:   workers,
 		OnEpisode: func(s EpisodeStats) { recs = append(recs, s) },

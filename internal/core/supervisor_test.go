@@ -113,7 +113,7 @@ func TestDivergenceHealsAndConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 300), TrainOptions{
+	rep, err := tn.OfflineTrain(context.Background(), mkEnvFactory(cat, workload.SysbenchRW(), 300), TrainOptions{
 		Episodes: 30,
 		Workers:  1,
 		Supervisor: SupervisorConfig{
@@ -161,7 +161,7 @@ func TestDivergenceBudgetAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 300), TrainOptions{
+	rep, err := tn.OfflineTrain(context.Background(), mkEnvFactory(cat, workload.SysbenchRW(), 300), TrainOptions{
 		Episodes: 30,
 		Workers:  1,
 		Supervisor: SupervisorConfig{
@@ -211,7 +211,7 @@ func TestDivergenceSmoke(t *testing.T) {
 		db := simdb.New(knobs.EngineCDB, simdb.CDBA, 500+int64(ep))
 		return env.New(in.Wrap(db), cat, workload.SysbenchRW())
 	}
-	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{
+	rep, err := tn.OfflineTrain(context.Background(), mk, TrainOptions{
 		Episodes: 24,
 		Workers:  2,
 		Supervisor: SupervisorConfig{
@@ -266,10 +266,11 @@ func TestTrainDeadlineStopsPromptly(t *testing.T) {
 		return env.New(&slowDB{Database: db, delay: 3 * time.Millisecond}, cat, workload.SysbenchRW())
 	}
 	start := time.Now()
-	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	rep, err := tn.OfflineTrain(ctx, mk, TrainOptions{
 		Episodes: 500,
 		Workers:  3,
-		Deadline: 150 * time.Millisecond,
 	})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -299,10 +300,9 @@ func TestTrainCtxCancelStopsMultiWorkerRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var after atomic.Int32
-	rep, err := tn.OfflineTrainOpts(mkEnvFactory(cat, workload.SysbenchRW(), 700), TrainOptions{
+	rep, err := tn.OfflineTrain(ctx, mkEnvFactory(cat, workload.SysbenchRW(), 700), TrainOptions{
 		Episodes: 200,
 		Workers:  4,
-		Ctx:      ctx,
 		OnEpisode: func(s EpisodeStats) {
 			if after.Add(1) == 3 {
 				cancel()
@@ -337,7 +337,7 @@ func TestStallWatchdogFlagsStuckWorker(t *testing.T) {
 		mu      sync.Mutex
 		flagged []int
 	)
-	rep, err := tn.OfflineTrainOpts(mk, TrainOptions{
+	rep, err := tn.OfflineTrain(context.Background(), mk, TrainOptions{
 		Episodes:     2,
 		Workers:      1,
 		StallTimeout: 20 * time.Millisecond,
@@ -385,7 +385,7 @@ func (d *cancelAfterDB) RunWorkload(w workload.Workload, sec float64) (simdb.Res
 	return d.Database.RunWorkload(w, sec)
 }
 
-func TestOnlineTuneCtxCancelDeploysBestKnown(t *testing.T) {
+func TestOnlineTuneCancelDeploysBestKnown(t *testing.T) {
 	cat := testCat(t)
 	tn, err := New(testConfig(t, cat))
 	if err != nil {
@@ -399,7 +399,7 @@ func TestOnlineTuneCtxCancelDeploysBestKnown(t *testing.T) {
 		cancel:   cancel,
 	}
 	e := env.New(db, cat, workload.SysbenchRW())
-	res, err := tn.OnlineTuneCtx(ctx, e, 5, false, nil)
+	res, err := tn.OnlineTune(ctx, e, 5, false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 )
@@ -117,7 +116,7 @@ func (s EpisodeStats) String() string {
 // call back into the Tuner from it.
 type EpisodeHook func(EpisodeStats)
 
-// TrainOptions configures OfflineTrainOpts beyond the episode budget.
+// TrainOptions configures OfflineTrain.
 type TrainOptions struct {
 	// Episodes is the number of training episodes; Workers the number of
 	// concurrent training environments (≤ 1 means serial).
@@ -162,24 +161,13 @@ type TrainOptions struct {
 	// annealing schedule.
 	MaxWorkerRespawns int
 
-	// Ctx, when non-nil, cancels the run: no new episode is handed out and
-	// every worker's environment fails fast once the context is done. The
-	// run drains promptly and returns the context's error with valid
-	// partial accounting (episodes completed before cancellation are fully
-	// reported). Nil means no external cancellation.
-	Ctx context.Context
-
-	// Deadline, when positive, bounds the run's real (not virtual)
-	// wall-clock time: the run behaves as if Ctx had that timeout. Both
-	// can be combined; whichever fires first stops the run.
-	Deadline time.Duration
-
 	// StallTimeout arms the stall watchdog: a worker that sits on one
 	// environment step for longer than this (real time) is flagged —
 	// TrainReport.Stalls increments and OnStall fires, once per stuck
 	// step. The watchdog observes and reports; it never kills the worker
 	// (the simulator is synchronous, so the step eventually returns —
-	// combine with Deadline to bound the whole run). 0 disables.
+	// give the run's context a deadline to bound the whole run). 0
+	// disables.
 	StallTimeout time.Duration
 
 	// OnStall, when non-nil, is invoked from the watchdog goroutine each

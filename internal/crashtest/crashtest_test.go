@@ -60,7 +60,7 @@ func TestWALReplayEveryByteOffset(t *testing.T) {
 	if err := vfs.MkdirAllDurable(build, "/w", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	log, err := registry.OpenChangeLogFS(build, path)
+	log, err := registry.OpenChangeLog(build, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWALReplayEveryByteOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		l, err := registry.OpenChangeLogFS(img, path)
+		l, err := registry.OpenChangeLog(img, path)
 		if err != nil {
 			t.Fatal(err)
 		}

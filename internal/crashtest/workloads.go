@@ -204,7 +204,7 @@ func WALWorkload() Workload {
 			if err := vfs.MkdirAllDurable(fs, "/wal", 0o755); err != nil {
 				return err
 			}
-			log, err := registry.OpenChangeLogFS(fs, path)
+			log, err := registry.OpenChangeLog(fs, path)
 			if err != nil {
 				return err
 			}
@@ -223,7 +223,7 @@ func WALWorkload() Workload {
 			if err := vfs.MkdirAllDurable(img, "/wal", 0o755); err != nil {
 				return fmt.Errorf("reopen: %w", err)
 			}
-			log, err := registry.OpenChangeLogFS(img, path)
+			log, err := registry.OpenChangeLog(img, path)
 			if err != nil {
 				return fmt.Errorf("reopen: %w", err)
 			}
@@ -249,7 +249,7 @@ func WALWorkload() Workload {
 			if err != nil {
 				return fmt.Errorf("post-crash append wedged: %w", err)
 			}
-			fresh, err := registry.OpenChangeLogFS(img, path)
+			fresh, err := registry.OpenChangeLog(img, path)
 			if err != nil {
 				return fmt.Errorf("second reopen: %w", err)
 			}
@@ -286,7 +286,7 @@ func JournalWorkload() Workload {
 	return Workload{
 		Name: "journal",
 		Run: func(fs *vfs.FaultFS, ack *Ack) error {
-			j, err := fleet.OpenJournalFS(fs, dir)
+			j, err := fleet.OpenJournal(fs, dir)
 			if err != nil {
 				return err
 			}
@@ -309,7 +309,7 @@ func JournalWorkload() Workload {
 			return nil
 		},
 		Verify: func(img *vfs.FaultFS, ack *Ack) error {
-			j, err := fleet.OpenJournalFS(img, dir)
+			j, err := fleet.OpenJournal(img, dir)
 			if err != nil {
 				return fmt.Errorf("reopen: %w", err)
 			}
@@ -362,7 +362,7 @@ func LeaseWorkload() Workload {
 			if err := vfs.MkdirAllDurable(fs, "/lease", 0o755); err != nil {
 				return err
 			}
-			alice := registry.NewLeaseFS(fs, path, "alice", ttl)
+			alice := registry.NewLease(fs, path, "alice", ttl)
 			alice.SetClock(clk.Now)
 			ok, err := alice.TryAcquire()
 			if err != nil {
@@ -377,7 +377,7 @@ func LeaseWorkload() Workload {
 				return err
 			}
 			clk.Advance(3 * ttl) // alice goes silent past her TTL
-			bob := registry.NewLeaseFS(fs, path, "bob", ttl)
+			bob := registry.NewLease(fs, path, "bob", ttl)
 			bob.SetClock(clk.Now)
 			ok, err = bob.TryAcquire()
 			if err != nil {
@@ -391,7 +391,7 @@ func LeaseWorkload() Workload {
 			if err := bob.Release(); err != nil {
 				return err
 			}
-			carol := registry.NewLeaseFS(fs, path, "carol", ttl)
+			carol := registry.NewLease(fs, path, "carol", ttl)
 			carol.SetClock(clk.Now)
 			ok, err = carol.TryAcquire()
 			if err != nil {
@@ -413,10 +413,10 @@ func LeaseWorkload() Workload {
 				return fmt.Errorf("recovery mkdir: %w", err)
 			}
 			acked := atoi(func() string { v, _ := ack.Get("lease:epoch"); return v }())
-			if info, exists, err := registry.ReadLeaseFileFS(img, path); err == nil && exists && info.Epoch < acked {
+			if info, exists, err := registry.ReadLeaseFile(img, path); err == nil && exists && info.Epoch < acked {
 				return fmt.Errorf("on-disk epoch %d below acked %d", info.Epoch, acked)
 			}
-			rec := registry.NewLeaseFS(img, path, "recover", ttl)
+			rec := registry.NewLease(img, path, "recover", ttl)
 			rec.SetClock(future.Now)
 			acquired := false
 			for try := 0; try < 6 && !acquired; try++ {

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 
 	"cdbtune/internal/knobs"
@@ -55,7 +56,7 @@ func CrossEngine(b Budget, knobCap int) (Table, error) {
 			return out, fmt.Errorf("%s train: %w", c.engine, err)
 		}
 		e := newEnv(c.engine, c.inst, cat, c.w, seed+90)
-		res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.Background(), e, b.OnlineSteps, true, nil)
 		if err != nil {
 			return out, fmt.Errorf("%s tune: %w", c.engine, err)
 		}

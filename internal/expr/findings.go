@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 
 	"cdbtune/internal/knobs"
@@ -40,7 +41,7 @@ func Findings(b Budget) (Table, error) {
 			return t, err
 		}
 		e := newEnv(knobs.EngineCDB, simdb.CDBA, cat, w, seed+90)
-		res, err := tuner.OnlineTune(e, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.Background(), e, b.OnlineSteps, true, nil)
 		if err != nil {
 			return t, err
 		}
@@ -75,7 +76,7 @@ func ExtYCSBVariants(b Budget) (Table, error) {
 			return t, err
 		}
 		e2 := newEnv(knobs.EngineMongoDB, simdb.CDBE, cat, w, seed+90)
-		res, err := tuner.OnlineTune(e2, b.OnlineSteps, true)
+		res, err := tuner.OnlineTune(context.Background(), e2, b.OnlineSteps, true, nil)
 		if err != nil {
 			return t, err
 		}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -56,7 +57,7 @@ func TrainingTelemetry(b Budget, workers int) ([]Table, error) {
 		SpikeProb: 0.02,
 	})
 	var records []core.EpisodeStats
-	rep, err := t.OfflineTrainOpts(func(ep int) *env.Env {
+	rep, err := t.OfflineTrain(context.Background(), func(ep int) *env.Env {
 		db := simdb.New(knobs.EngineCDB, inst, b.Seed+int64(ep))
 		return env.New(in.Wrap(db), cat, w)
 	}, core.TrainOptions{
@@ -104,7 +105,7 @@ func TrainingTelemetry(b Budget, workers int) ([]Table, error) {
 	})
 	tuneDB := simdb.New(knobs.EngineCDB, inst, b.Seed+9999)
 	guard := core.NewGuardrail(2, 0.05)
-	tuned, err := t.OnlineTuneGuarded(env.New(tuneIn.Wrap(tuneDB), cat, w), 5, true, guard)
+	tuned, err := t.OnlineTune(context.Background(), env.New(tuneIn.Wrap(tuneDB), cat, w), 5, true, guard)
 	if err != nil {
 		return nil, err
 	}

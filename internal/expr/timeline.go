@@ -2,6 +2,7 @@ package expr
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -98,7 +99,7 @@ func TimelineTelemetry(b Budget) ([]Table, Figure, error) {
 				return mt.Meta.ID, true
 			}
 		}
-		return t.ServeDynamic(e, opts)
+		return t.ServeDynamic(context.Background(), e, opts)
 	}
 
 	// Drift-aware run, then the stale-config control: an identically

@@ -19,6 +19,7 @@ import (
 	"cdbtune/internal/rl/ddpg"
 	"cdbtune/internal/server"
 	"cdbtune/internal/simdb"
+	"cdbtune/internal/vfs"
 )
 
 // fastServerConfig is the server test suite's small-network configuration
@@ -144,7 +145,7 @@ func mustOwner(t *testing.T, r *Ring, key string) string {
 }
 
 func TestJournalRoundTrip(t *testing.T) {
-	j, err := OpenJournal(t.TempDir())
+	j, err := OpenJournal(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestFleetThreeNodeSmoke(t *testing.T) {
 		t.Fatalf("6 keys all landed on one node: %v", owners)
 	}
 
-	journal, _ := OpenJournal(filepath.Join(dir, "jobs"))
+	journal, _ := OpenJournal(vfs.OS, filepath.Join(dir, "jobs"))
 	waitCond(t, 2*time.Minute, "all jobs terminal", func() bool {
 		for _, k := range keys {
 			rec, ok, _ := journal.Get(k)
@@ -329,12 +330,12 @@ func TestFailoverAdoptsDeadNodesJobs(t *testing.T) {
 	n1 := startNode(t, dir, "n1", ttl, fastServerConfig(t))
 
 	// A ghost member: lease written once, never renewed — dead after TTL.
-	ghost := registry.NewLease(filepath.Join(dir, "members", "ghost.lease"), "ghost", ttl)
+	ghost := registry.NewLease(vfs.OS, filepath.Join(dir, "members", "ghost.lease"), "ghost", ttl)
 	ghost.SetData("127.0.0.1:1")
 	if ok, err := ghost.TryAcquire(); err != nil || !ok {
 		t.Fatalf("ghost lease: %v %v", ok, err)
 	}
-	journal, _ := OpenJournal(filepath.Join(dir, "jobs"))
+	journal, _ := OpenJournal(vfs.OS, filepath.Join(dir, "jobs"))
 	if err := journal.Put(Record{
 		Key: "orphan-1", Node: "ghost", JobID: "ghost-job-0000", State: StateAccepted,
 		Request: server.JobRequest{Tenant: "acme", Workload: "sysbench-ro"},
@@ -355,7 +356,7 @@ func TestFailoverAdoptsDeadNodesJobs(t *testing.T) {
 		t.Fatalf("failover counters: %+v", st)
 	}
 	// The steal is recorded in the ghost's lease: owner n1, epoch bumped.
-	info, ok, err := registry.ReadLeaseFile(filepath.Join(dir, "members", "ghost.lease"))
+	info, ok, err := registry.ReadLeaseFile(vfs.OS, filepath.Join(dir, "members", "ghost.lease"))
 	if err != nil || !ok {
 		t.Fatalf("ghost lease after steal: %v %v", ok, err)
 	}
@@ -415,7 +416,7 @@ func TestLeaseStallTriggersFailover(t *testing.T) {
 	}
 	sresp.Body.Close()
 
-	journal, _ := OpenJournal(filepath.Join(dir, "jobs"))
+	journal, _ := OpenJournal(vfs.OS, filepath.Join(dir, "jobs"))
 	waitCond(t, 10*time.Second, "stalled node's job adopted by n1", func() bool {
 		rec, ok, _ := journal.Get("stall-1")
 		return ok && rec.Node == "n1" && rec.State == server.StateDone
@@ -429,7 +430,7 @@ func TestLeaseStallTriggersFailover(t *testing.T) {
 // Update that finds a terminal record skips its write, so a slow failover
 // stamp can never regress a finished job back to accepted.
 func TestJournalUpdateTerminalWins(t *testing.T) {
-	j, err := OpenJournal(t.TempDir())
+	j, err := OpenJournal(vfs.OS, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"cdbtune/internal/nn"
 	"cdbtune/internal/server"
 	"cdbtune/internal/vfs"
 )
@@ -49,7 +48,7 @@ func (r Record) Terminal() bool {
 
 // Journal is the fleet's durable job log: one atomically-written JSON
 // file per idempotency key, shared by every process through the fleet
-// directory. Writes go through nn.WriteAtomic (temp file, fsync, rename,
+// directory. Writes go through vfs.WriteAtomic (temp file, fsync, rename,
 // dir fsync) so a crash never leaves a torn record; cross-process writers
 // of one key are last-writer-wins, which is safe because a record is only
 // mutated by the node named in it while that node is alive. Within one
@@ -62,17 +61,12 @@ type Journal struct {
 	mu  sync.Mutex
 }
 
-// OpenJournal creates the journal directory if needed — durably: the new
-// directory's parent is fsynced, so a power cut right after the first
-// acked record cannot drop the whole journal subtree (an un-fsynced
-// directory entry takes every record inside it along when it vanishes).
-func OpenJournal(dir string) (*Journal, error) {
-	return OpenJournalFS(vfs.OS, dir)
-}
-
-// OpenJournalFS is OpenJournal over an explicit filesystem (fault
-// injection, crash-consistency exploration).
-func OpenJournalFS(fsys vfs.FS, dir string) (*Journal, error) {
+// OpenJournal opens the journal in dir on fsys (vfs.OS in production),
+// creating the directory if needed — durably: the new directory's parent
+// is fsynced, so a power cut right after the first acked record cannot
+// drop the whole journal subtree (an un-fsynced directory entry takes
+// every record inside it along when it vanishes).
+func OpenJournal(fsys vfs.FS, dir string) (*Journal, error) {
 	if err := vfs.MkdirAllDurable(fsys, dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: journal dir: %w", err)
 	}
@@ -106,7 +100,7 @@ func (j *Journal) putLocked(rec Record) error {
 		return err
 	}
 	rec.UnixMs = time.Now().UnixMilli()
-	return nn.WriteAtomicFS(j.fs, p, func(w io.Writer) error {
+	return vfs.WriteAtomic(j.fs, p, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(rec)
 	})
 }

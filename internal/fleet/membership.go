@@ -49,7 +49,7 @@ func NewMembership(dir, id, addr string, ttl time.Duration, logf func(string, ..
 		id:    id,
 		addr:  addr,
 		ttl:   ttl,
-		lease: registry.NewLease(filepath.Join(dir, id+".lease"), id, ttl),
+		lease: registry.NewLease(vfs.OS, filepath.Join(dir, id+".lease"), id, ttl),
 		logf:  logf,
 		stop:  make(chan struct{}),
 	}
@@ -82,13 +82,6 @@ func (m *Membership) Stop() {
 	if err := m.lease.Release(); err != nil {
 		m.logf("fleet: %s: releasing member lease: %v", m.id, err)
 	}
-}
-
-// Abandon halts renewals without releasing the lease — the simulated
-// crash: peers only notice once the lease expires.
-func (m *Membership) Abandon() {
-	close(m.stop)
-	m.wg.Wait()
 }
 
 // StallFor pauses lease renewals for d — chaos injection: the member
@@ -139,7 +132,7 @@ func Alive(dir string) (map[string]string, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".lease") {
 			continue
 		}
-		info, ok, err := registry.ReadLeaseFile(filepath.Join(dir, e.Name()))
+		info, ok, err := registry.ReadLeaseFile(vfs.OS, filepath.Join(dir, e.Name()))
 		if err != nil || !ok {
 			continue // torn or vanished mid-scan: treat as absent
 		}

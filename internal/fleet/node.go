@@ -122,7 +122,7 @@ func Start(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	journal, err := OpenJournal(filepath.Join(cfg.Dir, "jobs"))
+	journal, err := OpenJournal(vfs.OS, filepath.Join(cfg.Dir, "jobs"))
 	if err != nil {
 		return nil, err
 	}
@@ -470,8 +470,8 @@ func (n *Node) failoverSweep() error {
 // adopt steals the dead node's member lease and re-queues its jobs here.
 func (n *Node) adopt(node string, recs []Record) {
 	path := filepath.Join(n.cfg.Dir, "members", node+".lease")
-	prev, _, _ := registry.ReadLeaseFile(path)
-	claim := registry.NewLease(path, n.cfg.ID, n.cfg.LeaseTTL)
+	prev, _, _ := registry.ReadLeaseFile(vfs.OS, path)
+	claim := registry.NewLease(vfs.OS, path, n.cfg.ID, n.cfg.LeaseTTL)
 	ok, err := claim.TryAcquire()
 	if err != nil || !ok {
 		// Still within its TTL, or another sweeper beat us to it.

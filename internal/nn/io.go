@@ -5,74 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
-
-	"cdbtune/internal/vfs"
 )
-
-// WriteAtomic writes a file by streaming into a temp file in the target's
-// directory, syncing it, renaming over the destination, and fsyncing the
-// containing directory — a crash or write error never leaves a truncated
-// file at path, and a crash right after the rename cannot lose the rename
-// itself (the directory entry is durable before WriteAtomic returns). The
-// temp file is removed on failure. It writes through the production
-// filesystem; WriteAtomicFS is the same helper over an explicit vfs.FS
-// (fault injection, crash-consistency exploration).
-func WriteAtomic(path string, write func(io.Writer) error) error {
-	return WriteAtomicFS(vfs.OS, path, write)
-}
-
-// WriteAtomicFS is WriteAtomic over an explicit filesystem. On failure —
-// including an injected ENOSPC/EIO mid-stream — the temp file is removed
-// and the destination untouched, so a retry after the condition clears
-// is always safe.
-func WriteAtomicFS(fsys vfs.FS, path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := write(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(dir)
-}
-
-// SyncDir fsyncs a directory so a rename or create recorded in it survives
-// a crash. Filesystems that refuse directory fsync (some network mounts)
-// degrade to the pre-fsync durability rather than failing the write.
-func SyncDir(dir string) error {
-	return vfs.OS.SyncDir(dir)
-}
-
-// Rename renames oldpath onto newpath with plain rename semantics and
-// none of the atomic-write fsync discipline. It exists for lock-claim
-// protocols (renaming a stale lock file claims it: exactly one renamer
-// wins) where the rename IS the atomic primitive and durability is
-// irrelevant — lock files are advisory and rebuilt on restart. Every
-// durable file still goes through WriteAtomic; the repo lint forbids a
-// bare os.Rename anywhere outside this file and the vfs passthrough so
-// nothing else bypasses it.
-func Rename(oldpath, newpath string) error {
-	return vfs.OS.Rename(oldpath, newpath)
-}
 
 // NetworkState is a deep copy of everything Save persists for a Network:
 // parameter tensors in layer order plus BatchNorm running statistics. It

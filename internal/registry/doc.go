@@ -5,7 +5,7 @@
 // the closest one instead of training from scratch.
 //
 // Each entry is one file (<id>.model) holding the entry metadata plus the
-// serialized agent, written atomically (nn.WriteAtomic: temp file, fsync,
+// serialized agent, written atomically (vfs.WriteAtomic: temp file, fsync,
 // rename, directory fsync) and framed with the same CRC32 integrity
 // footer checkpoints use, so a torn or bit-flipped entry is detected and
 // skipped loudly rather than served. Repeated fine-tunes of the same

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"cdbtune/internal/nn"
 	"cdbtune/internal/vfs"
 )
 
@@ -50,12 +49,12 @@ func (li LeaseInfo) ExpiredAt(t time.Time) bool {
 // Lease is one process's handle on a file lease. Multiple processes (or
 // goroutines) open handles on the same path; at most one holds it at a
 // time. Every on-disk transition is fsync'd and atomic: the first acquire
-// is an exclusive create, renewals and steals replace the file through the
-// atomic-write helper, and steals additionally serialize through an
-// exclusive-create steal lock so two stealers cannot both win. A crashed
-// holder is healed by expiry: once the TTL passes without a renewal, any
-// handle may steal the lease, bumping the epoch so the old holder's writes
-// are fenceable.
+// publishes a complete record with a non-clobbering link, renewals and
+// steals replace the file through vfs.WriteAtomic, and steals
+// additionally serialize through an exclusive-create steal lock so two
+// stealers cannot both win. A crashed holder is healed by expiry: once
+// the TTL passes without a renewal, any handle may steal the lease,
+// bumping the epoch so the old holder's writes are fenceable.
 type Lease struct {
 	path  string
 	owner string
@@ -76,16 +75,10 @@ type Lease struct {
 	seenEpoch int64
 }
 
-// NewLease builds a handle on the lease at path for the named owner. A
-// ttl <= 0 means DefaultLeaseTTL. Nothing touches the disk until
-// TryAcquire.
-func NewLease(path, owner string, ttl time.Duration) *Lease {
-	return NewLeaseFS(vfs.OS, path, owner, ttl)
-}
-
-// NewLeaseFS is NewLease over an explicit filesystem (fault injection,
-// crash-consistency exploration).
-func NewLeaseFS(fsys vfs.FS, path, owner string, ttl time.Duration) *Lease {
+// NewLease builds a handle on the lease at path on fsys (vfs.OS in
+// production) for the named owner. A ttl <= 0 means DefaultLeaseTTL.
+// Nothing touches the disk until TryAcquire.
+func NewLease(fsys vfs.FS, path, owner string, ttl time.Duration) *Lease {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
@@ -140,7 +133,7 @@ func (l *Lease) Steals() int {
 	return s
 }
 
-// TryAcquire attempts to take the lease: a fresh file is created
+// TryAcquire attempts to take the lease: a fresh record is published
 // exclusively, an expired or released one is stolen (epoch bump), a live
 // one owned by someone else is left alone (false, nil). A handle that
 // already holds the lease renews it instead.
@@ -226,8 +219,12 @@ func (l *Lease) Release() error {
 	return l.writeLocked(LeaseInfo{Epoch: l.epoch})
 }
 
-// createLocked acquires a lease that has never existed via exclusive
-// create — two racing handles cannot both win O_EXCL.
+// createLocked acquires a lease that has never existed. The full record
+// is written and synced to a temp file first and only then published at
+// the lease path with a non-clobbering hard link, so a racing reader sees
+// either no lease or a complete one — never the empty file an exclusive
+// create exposes before its write lands, which a racer would take for a
+// corrupt record and steal. Two racing creators cannot both win the link.
 func (l *Lease) createLocked(now time.Time) (bool, error) {
 	info := LeaseInfo{
 		Owner: l.owner, Epoch: 1,
@@ -237,29 +234,30 @@ func (l *Lease) createLocked(now time.Time) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	f, err := l.fs.OpenFile(l.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	dir := filepath.Dir(l.path)
+	f, err := l.fs.CreateTemp(dir, filepath.Base(l.path)+".tmp-*")
+	if err != nil {
+		return false, fmt.Errorf("registry: lease create: %w", err)
+	}
+	tmp := f.Name()
+	_, err = f.Write(payload)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = l.fs.Link(tmp, l.path)
+	}
+	l.fs.Remove(tmp)
 	if err != nil {
 		if os.IsExist(err) {
-			return false, nil
+			return false, nil // lost the create race
 		}
 		return false, fmt.Errorf("registry: lease create: %w", err)
 	}
-	_, werr := f.Write(payload)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if werr != nil {
-		f.Close()
-		// Unlink the partial record and make the unlink durable: a crash
-		// right after this return must not resurrect a torn lease file.
-		l.fs.Remove(l.path)
-		l.fs.SyncDir(filepath.Dir(l.path))
-		return false, fmt.Errorf("registry: lease create: %w", werr)
-	}
-	if err := f.Close(); err != nil {
-		return false, err
-	}
-	if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
+	if err := l.fs.SyncDir(dir); err != nil {
 		return false, err
 	}
 	l.held, l.epoch = true, info.Epoch
@@ -397,7 +395,7 @@ func (l *Lease) reapStaleStealLock(lockPath string, now time.Time) {
 // readLeaseLocked reads the lease file, recording the highest epoch this
 // handle has ever observed. Callers hold l.mu.
 func (l *Lease) readLeaseLocked() (LeaseInfo, bool, error) {
-	info, exists, err := ReadLeaseFileFS(l.fs, l.path)
+	info, exists, err := ReadLeaseFile(l.fs, l.path)
 	if err == nil && exists && info.Epoch > l.seenEpoch {
 		l.seenEpoch = info.Epoch
 	}
@@ -412,7 +410,7 @@ func (l *Lease) writeLocked(info LeaseInfo) error {
 	if err != nil {
 		return err
 	}
-	return nn.WriteAtomicFS(l.fs, l.path, func(w io.Writer) error {
+	return vfs.WriteAtomic(l.fs, l.path, func(w io.Writer) error {
 		_, werr := w.Write(payload)
 		return werr
 	})
@@ -421,18 +419,12 @@ func (l *Lease) writeLocked(info LeaseInfo) error {
 // Read reports the current on-disk lease record without touching it.
 // exists is false when no lease file is present.
 func (l *Lease) Read() (info LeaseInfo, exists bool, err error) {
-	return ReadLeaseFileFS(l.fs, l.path)
+	return ReadLeaseFile(l.fs, l.path)
 }
 
-// ReadLeaseFile parses the lease record at path on the production
-// filesystem. A missing file is (zero, false, nil); an unreadable or
-// unparsable one is an error.
-func ReadLeaseFile(path string) (LeaseInfo, bool, error) {
-	return ReadLeaseFileFS(vfs.OS, path)
-}
-
-// ReadLeaseFileFS is ReadLeaseFile over an explicit filesystem.
-func ReadLeaseFileFS(fsys vfs.FS, path string) (LeaseInfo, bool, error) {
+// ReadLeaseFile parses the lease record at path on fsys. A missing file
+// is (zero, false, nil); an unreadable or unparsable one is an error.
+func ReadLeaseFile(fsys vfs.FS, path string) (LeaseInfo, bool, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {

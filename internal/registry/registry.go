@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"cdbtune/internal/core"
-	"cdbtune/internal/nn"
 	"cdbtune/internal/vfs"
 )
 
@@ -566,7 +565,7 @@ func (r *Registry) writeLocked(meta Meta, model []byte) error {
 	if err := gob.NewEncoder(&buf).Encode(entryBlob{Meta: meta, Model: model}); err != nil {
 		return fmt.Errorf("registry: encode %q: %w", meta.ID, err)
 	}
-	return nn.WriteAtomicFS(r.fs, r.path(meta.ID), func(w io.Writer) error {
+	return vfs.WriteAtomic(r.fs, r.path(meta.ID), func(w io.Writer) error {
 		return core.WriteFramed(w, buf.Bytes(), entryMagic)
 	})
 }

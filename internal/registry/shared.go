@@ -41,7 +41,7 @@ type SharedOption func(*Shared)
 func WithLeaseTTL(ttl time.Duration) SharedOption {
 	return func(s *Shared) {
 		if ttl > 0 {
-			s.lease = NewLeaseFS(s.lease.fs, s.lease.path, s.lease.owner, ttl)
+			s.lease = NewLease(s.lease.fs, s.lease.path, s.lease.owner, ttl)
 		}
 	}
 }
@@ -64,13 +64,13 @@ func OpenShared(dir, owner string, regOpts []Option, opts ...SharedOption) (*Sha
 	if err != nil {
 		return nil, err
 	}
-	log, err := OpenChangeLogFS(r.fs, filepath.Join(dir, "registry.wal"))
+	log, err := OpenChangeLog(r.fs, filepath.Join(dir, "registry.wal"))
 	if err != nil {
 		return nil, err
 	}
 	s := &Shared{
 		Registry:  r,
-		lease:     NewLeaseFS(r.fs, filepath.Join(dir, "registry.lease"), owner, 0),
+		lease:     NewLease(r.fs, filepath.Join(dir, "registry.lease"), owner, 0),
 		log:       log,
 		leaseWait: DefaultLeaseWait,
 		lagging:   make(map[string]Change),

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cdbtune/internal/vfs"
 )
 
 func leasePath(t *testing.T) string {
@@ -17,7 +19,7 @@ func leasePath(t *testing.T) string {
 
 func TestLeaseAcquireRenewRelease(t *testing.T) {
 	path := leasePath(t)
-	l := NewLease(path, "n0", 200*time.Millisecond)
+	l := NewLease(vfs.OS, path, "n0", 200*time.Millisecond)
 	ok, err := l.TryAcquire()
 	if err != nil || !ok {
 		t.Fatalf("acquire: ok=%v err=%v", ok, err)
@@ -33,7 +35,7 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 		t.Fatalf("renew: %v", err)
 	}
 	// A live lease blocks a second owner.
-	l2 := NewLease(path, "n1", 200*time.Millisecond)
+	l2 := NewLease(vfs.OS, path, "n1", 200*time.Millisecond)
 	if ok, err := l2.TryAcquire(); err != nil || ok {
 		t.Fatalf("second owner acquired a live lease: ok=%v err=%v", ok, err)
 	}
@@ -59,7 +61,7 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 func TestLeaseStealAfterExpiry(t *testing.T) {
 	path := leasePath(t)
 	base := time.Now()
-	l0 := NewLease(path, "n0", 100*time.Millisecond)
+	l0 := NewLease(vfs.OS, path, "n0", 100*time.Millisecond)
 	l0.SetClock(func() time.Time { return base })
 	if ok, _ := l0.TryAcquire(); !ok {
 		t.Fatal("n0 acquire failed")
@@ -67,7 +69,7 @@ func TestLeaseStealAfterExpiry(t *testing.T) {
 
 	// n1's clock is past n0's expiry: the steal must succeed, bump the
 	// epoch, and count as a failover.
-	l1 := NewLease(path, "n1", 100*time.Millisecond)
+	l1 := NewLease(vfs.OS, path, "n1", 100*time.Millisecond)
 	l1.SetClock(func() time.Time { return base.Add(250 * time.Millisecond) })
 	ok, err := l1.TryAcquire()
 	if err != nil || !ok {
@@ -105,7 +107,7 @@ func TestLeaseMutualExclusion(t *testing.T) {
 		wg.Add(1)
 		go func(id int32) {
 			defer wg.Done()
-			l := NewLease(path, fmt.Sprintf("n%d", id), 500*time.Millisecond)
+			l := NewLease(vfs.OS, path, fmt.Sprintf("n%d", id), 500*time.Millisecond)
 			for j := 0; j < 20; j++ {
 				ok, err := l.TryAcquire()
 				if err != nil {
@@ -137,7 +139,7 @@ func TestLeaseMutualExclusion(t *testing.T) {
 
 func TestChangeLogAppendTailTornFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "registry.wal")
-	c, err := OpenChangeLog(path)
+	c, err := OpenChangeLog(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestChangeLogAppendTailTornFrame(t *testing.T) {
 		}
 	}
 	// A second handle sees the full history, in order, with assigned seqs.
-	c2, err := OpenChangeLog(path)
+	c2, err := OpenChangeLog(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestChangeLogAppendTailTornFrame(t *testing.T) {
 	if err := os.WriteFile(path, cut[:len(full)+7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c3, err := OpenChangeLog(path)
+	c3, err := OpenChangeLog(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +441,7 @@ func TestEvictionVsFineTuneRace(t *testing.T) {
 // every later append or replay would die on "bad frame magic".
 func TestChangeLogAppendReclaimsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "registry.wal")
-	c, err := OpenChangeLog(path)
+	c, err := OpenChangeLog(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +467,7 @@ func TestChangeLogAppendReclaimsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := OpenChangeLog(path) // the recovering writer (new lease holder)
+	w, err := OpenChangeLog(vfs.OS, path) // the recovering writer (new lease holder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +482,7 @@ func TestChangeLogAppendReclaimsTornTail(t *testing.T) {
 		t.Fatalf("append after reclaim: %v", err)
 	}
 
-	r, err := OpenChangeLog(path)
+	r, err := OpenChangeLog(vfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +506,7 @@ func TestLeaseCorruptRecordEpochMonotone(t *testing.T) {
 	if err := os.WriteFile(path, []byte(record), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l := NewLease(path, "n1", 100*time.Millisecond)
+	l := NewLease(vfs.OS, path, "n1", 100*time.Millisecond)
 	// The handle observes epoch 7 while the lease is live.
 	if ok, err := l.TryAcquire(); err != nil || ok {
 		t.Fatalf("live lease acquired: ok=%v err=%v", ok, err)
@@ -527,7 +529,7 @@ func TestLeaseCorruptRecordEpochMonotone(t *testing.T) {
 	if err := os.WriteFile(path2, []byte("{corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2 := NewLease(path2, "n2", 100*time.Millisecond)
+	l2 := NewLease(vfs.OS, path2, "n2", 100*time.Millisecond)
 	if ok, err := l2.TryAcquire(); err != nil || !ok {
 		t.Fatalf("blind steal of corrupt lease: ok=%v err=%v", ok, err)
 	}
@@ -556,7 +558,7 @@ func TestStaleStealLockReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l := NewLease(path, "n1", 100*time.Millisecond)
+	l := NewLease(vfs.OS, path, "n1", 100*time.Millisecond)
 	// First attempt reaps the corpse; it must not steal through it.
 	if ok, err := l.TryAcquire(); err != nil || ok {
 		t.Fatalf("first attempt: ok=%v err=%v, want reap without acquire", ok, err)
@@ -579,7 +581,7 @@ func TestStaleStealLockReaped(t *testing.T) {
 	if err := os.WriteFile(lock, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := NewLease(path, "n2", 100*time.Millisecond).TryAcquire(); err != nil || ok {
+	if ok, err := NewLease(vfs.OS, path, "n2", 100*time.Millisecond).TryAcquire(); err != nil || ok {
 		t.Fatalf("acquired through a live competitor's steal lock: ok=%v err=%v", ok, err)
 	}
 	if _, err := os.Stat(lock); err != nil {

@@ -72,18 +72,12 @@ type ChangeLog struct {
 	lastSeq int64
 }
 
-// OpenChangeLog opens (creating if needed) the change log at path on the
-// production filesystem. The read position starts at zero: the first
-// Tail returns the full history.
-func OpenChangeLog(path string) (*ChangeLog, error) {
-	return OpenChangeLogFS(vfs.OS, path)
-}
-
-// OpenChangeLogFS is OpenChangeLog over an explicit filesystem. When the
-// call creates the log file it fsyncs the parent directory, so a log
-// whose first appends were acked cannot vanish wholesale because its
-// directory entry was never made durable.
-func OpenChangeLogFS(fsys vfs.FS, path string) (*ChangeLog, error) {
+// OpenChangeLog opens (creating if needed) the change log at path on
+// fsys. The read position starts at zero: the first Tail returns the full
+// history. When the call creates the log file it fsyncs the parent
+// directory, so a log whose first appends were acked cannot vanish
+// wholesale because its directory entry was never made durable.
+func OpenChangeLog(fsys vfs.FS, path string) (*ChangeLog, error) {
 	_, serr := fsys.Stat(path)
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -103,13 +97,6 @@ func (c *ChangeLog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.f.Close()
-}
-
-// LastSeq reports the highest sequence number seen (read or written).
-func (c *ChangeLog) LastSeq() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSeq
 }
 
 // Tail returns the records appended since the previous Tail (or since

@@ -15,7 +15,7 @@ func TestChangeLogShortAppendTyped(t *testing.T) {
 	if err := vfs.MkdirAllDurable(fs, "/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	log, err := OpenChangeLogFS(fs, "/d/x.wal")
+	log, err := OpenChangeLog(fs, "/d/x.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestChangeLogShortAppendTyped(t *testing.T) {
 		t.Fatalf("retry got seq %d, want 2 (failed append must not consume a sequence number)", ch.Seq)
 	}
 
-	fresh, err := OpenChangeLogFS(fs, "/d/x.wal")
+	fresh, err := OpenChangeLog(fs, "/d/x.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestChangeLogSyncFailureTyped(t *testing.T) {
 	if err := vfs.MkdirAllDurable(fs, "/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	log, err := OpenChangeLogFS(fs, "/d/y.wal")
+	log, err := OpenChangeLog(fs, "/d/y.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestChangeLogSyncFailureTyped(t *testing.T) {
 	if _, err := log.Append(Change{Op: OpPut, ID: "b", Version: 1}); err != nil {
 		t.Fatalf("retry after sync failure: %v", err)
 	}
-	fresh, err := OpenChangeLogFS(fs, "/d/y.wal")
+	fresh, err := OpenChangeLog(fs, "/d/y.wal")
 	if err != nil {
 		t.Fatal(err)
 	}

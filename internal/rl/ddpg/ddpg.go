@@ -282,7 +282,7 @@ func (a *Agent) ActNoisyFrom(state []float64, src rl.Noise) []float64 {
 
 // Perturb applies exploration noise from src (the agent's own process
 // when nil) to a greedy action in place and returns it. It consumes the
-// agent's rng, so it falls under the same caller-held lock as TrainStep;
+// agent's rng, so it falls under the same caller-held lock as TrainStepInfo;
 // core's inference batcher uses it to noise each exploring request of a
 // batch right after the shared ActBatch forward pass, inside one lock
 // acquisition.
@@ -387,15 +387,10 @@ type StepInfo struct {
 	SkippedNonFinite bool
 }
 
-// TrainStep performs one critic and one actor update from a replayed
-// batch, then soft-updates the target networks (Algorithm 1). It returns
-// the critic loss, or ok=false if the memory pool is still too small.
-func (a *Agent) TrainStep() (criticLoss float64, ok bool) {
-	info, ok := a.TrainStepInfo()
-	return info.CriticLoss, ok
-}
-
-// TrainStepInfo is TrainStep returning the full per-update losses.
+// TrainStepInfo performs one critic and (PolicyDelay permitting) one actor
+// update from a replayed batch, then soft-updates the target networks
+// (Algorithm 1). It returns the per-update losses, or ok=false if the
+// memory pool is still too small.
 func (a *Agent) TrainStepInfo() (StepInfo, bool) {
 	if a.Memory.Len() < a.cfg.MinMemory || a.Memory.Len() < a.cfg.BatchSize {
 		return StepInfo{}, false

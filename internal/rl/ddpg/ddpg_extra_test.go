@@ -75,8 +75,8 @@ func TestPolicyDelaySkipsActorUpdates(t *testing.T) {
 	before := snapshot()
 	// Three critic updates: no actor update yet (trainSteps 1..3).
 	for i := 0; i < 3; i++ {
-		if _, ok := a.TrainStep(); !ok {
-			t.Fatal("TrainStep refused")
+		if _, ok := a.TrainStepInfo(); !ok {
+			t.Fatal("TrainStepInfo refused")
 		}
 	}
 	after := snapshot()
@@ -86,8 +86,8 @@ func TestPolicyDelaySkipsActorUpdates(t *testing.T) {
 		}
 	}
 	// The fourth update moves the actor.
-	if _, ok := a.TrainStep(); !ok {
-		t.Fatal("TrainStep refused")
+	if _, ok := a.TrainStepInfo(); !ok {
+		t.Fatal("TrainStepInfo refused")
 	}
 	after = snapshot()
 	same := true
@@ -117,7 +117,7 @@ func TestBCTargetPullsActor(t *testing.T) {
 	}
 	before := a.Act(state)
 	for i := 0; i < 400; i++ {
-		a.TrainStep()
+		a.TrainStepInfo()
 	}
 	after := a.Act(state)
 	dBefore := math.Abs(before[0]-target[0]) + math.Abs(before[1]-target[1])
@@ -143,9 +143,10 @@ func TestTargetSmoothingKeepsActionsInRange(t *testing.T) {
 	// The smoothed target actions feed the target critic; nothing here can
 	// panic or produce NaN losses.
 	for i := 0; i < 30; i++ {
-		loss, ok := a.TrainStep()
+		info, ok := a.TrainStepInfo()
+		loss := info.CriticLoss
 		if !ok {
-			t.Fatal("TrainStep refused")
+			t.Fatal("TrainStepInfo refused")
 		}
 		if math.IsNaN(loss) || math.IsInf(loss, 0) {
 			t.Fatalf("loss = %v", loss)

@@ -52,18 +52,18 @@ func TestActDeterministic(t *testing.T) {
 
 func TestTrainStepRequiresMinMemory(t *testing.T) {
 	a := New(smallConfig(3, 2))
-	if _, ok := a.TrainStep(); ok {
-		t.Fatal("TrainStep should refuse with empty memory")
+	if _, ok := a.TrainStepInfo(); ok {
+		t.Fatal("TrainStepInfo should refuse with empty memory")
 	}
 	for i := 0; i < a.cfg.MinMemory-1; i++ {
 		a.Observe(rl.Transition{State: []float64{0, 0, 0}, Action: []float64{0.5, 0.5}, NextState: []float64{0, 0, 0}})
 	}
-	if _, ok := a.TrainStep(); ok {
-		t.Fatal("TrainStep should refuse below MinMemory")
+	if _, ok := a.TrainStepInfo(); ok {
+		t.Fatal("TrainStepInfo should refuse below MinMemory")
 	}
 	a.Observe(rl.Transition{State: []float64{0, 0, 0}, Action: []float64{0.5, 0.5}, NextState: []float64{0, 0, 0}})
-	if _, ok := a.TrainStep(); !ok {
-		t.Fatal("TrainStep should run at MinMemory")
+	if _, ok := a.TrainStepInfo(); !ok {
+		t.Fatal("TrainStepInfo should run at MinMemory")
 	}
 	if a.TrainSteps() != 1 {
 		t.Fatalf("TrainSteps = %d, want 1", a.TrainSteps())
@@ -99,8 +99,8 @@ func TestLearnsBanditTarget(t *testing.T) {
 		act := a.ActNoisy(s)
 		r := reward(s, act)
 		a.Observe(rl.Transition{State: s, Action: act, Reward: r, NextState: s, Done: true})
-		a.TrainStep()
-		a.TrainStep()
+		a.TrainStepInfo()
+		a.TrainStepInfo()
 		if ep%20 == 0 {
 			a.Noise.Decay()
 		}
@@ -141,9 +141,10 @@ func TestCriticLossDecreases(t *testing.T) {
 	}
 	var first, last float64
 	for i := 0; i < 300; i++ {
-		loss, ok := a.TrainStep()
+		info, ok := a.TrainStepInfo()
+		loss := info.CriticLoss
 		if !ok {
-			t.Fatal("TrainStep refused")
+			t.Fatal("TrainStepInfo refused")
 		}
 		if i == 0 {
 			first = loss
@@ -171,7 +172,7 @@ func TestDoneMasksBootstrap(t *testing.T) {
 		a.Observe(rl.Transition{State: []float64{0, 0}, Action: []float64{0.5}, Reward: 2, NextState: []float64{0, 0}, Done: true})
 	}
 	for i := 0; i < 400; i++ {
-		a.TrainStep()
+		a.TrainStepInfo()
 	}
 	q := a.QValue([]float64{0, 0}, []float64{0.5})
 	if math.Abs(q-2) > 0.5 {
@@ -189,7 +190,7 @@ func TestSaveLoadPreservesPolicy(t *testing.T) {
 		a.Observe(rl.Transition{State: s, Action: []float64{0.1, 0.9}, Reward: rng.Float64(), NextState: s, Done: true})
 	}
 	for i := 0; i < 20; i++ {
-		a.TrainStep()
+		a.TrainStepInfo()
 	}
 	var buf bytes.Buffer
 	if err := a.Save(&buf); err != nil {
@@ -235,7 +236,7 @@ func TestPrioritizedAgentUpdatesPriorities(t *testing.T) {
 	}
 	before := pm.TotalPriority()
 	for i := 0; i < 10; i++ {
-		a.TrainStep()
+		a.TrainStepInfo()
 	}
 	if pm.TotalPriority() == before {
 		t.Fatal("priorities never updated during training")

@@ -14,7 +14,7 @@
 //
 //   - Act, ActBatch, ActNoisy, ActNoisyFrom, Perturb (rng and/or network
 //     reads that race with parameter updates)
-//   - TrainStep, TrainStepInfo (parameter updates)
+//   - TrainStepInfo (parameter updates)
 //   - Save, Load, SetBCTarget, BCTarget, QValue
 //
 // Observe is the one exception, and only conditionally: it does nothing
@@ -22,7 +22,7 @@
 // ≥ 2 — making Memory an rl.ConcurrentMemory — Observe is safe to call
 // concurrently with every other method and needs no lock at all. With the
 // default single-lock pools it must be serialized with Sample, i.e. with
-// TrainStep, under the caller's lock like everything else.
+// TrainStepInfo, under the caller's lock like everything else.
 //
 // Batched inference exists to shrink that critical section: ActBatch runs
 // one eval-mode forward pass (nn.Network.Infer, which writes no backward

@@ -17,7 +17,7 @@ type WeightSnapshot struct {
 }
 
 // Snapshot captures the agent's current weights. Callers must hold the
-// same lock that serializes TrainStep.
+// same lock that serializes TrainStepInfo.
 func (a *Agent) Snapshot() *WeightSnapshot {
 	s := &WeightSnapshot{}
 	for _, n := range a.networks() {
@@ -65,12 +65,6 @@ func (a *Agent) ScaleLR(f float64) float64 {
 	a.actorOpt.LR *= f
 	a.criticOpt.LR *= f
 	return a.criticOpt.LR
-}
-
-// LearningRates reports the current actor and critic learning rates
-// (they start at Config.ActorLR/CriticLR and shrink under ScaleLR).
-func (a *Agent) LearningRates() (actor, critic float64) {
-	return a.actorOpt.LR, a.criticOpt.LR
 }
 
 // networks lists the four networks in Save/Load order.

@@ -41,11 +41,7 @@ func TestTrainStepInfoPolicyDelay(t *testing.T) {
 	if first.CriticLoss < 0 || second.CriticLoss < 0 {
 		t.Fatalf("critic loss is a weighted square, must be ≥ 0: %v, %v", first.CriticLoss, second.CriticLoss)
 	}
-	// The legacy wrapper reports the same critic loss stream.
-	if loss, ok := a.TrainStep(); !ok || loss < 0 {
-		t.Fatalf("TrainStep wrapper: loss %v ok %v", loss, ok)
-	}
-	if a.TrainSteps() != 3 {
-		t.Fatalf("TrainSteps = %d, want 3", a.TrainSteps())
+	if a.TrainSteps() != 2 {
+		t.Fatalf("TrainSteps = %d, want 2", a.TrainSteps())
 	}
 }

@@ -81,7 +81,8 @@ type Config struct {
 	// session's terminal status — the fleet journal hook.
 	OnJobDone func(JobStatus)
 
-	// OnlineSteps is the per-request recommendation budget (paper: 5).
+	// OnlineSteps is the per-request recommendation budget (0 = the
+	// core.Tuner.OnlineTune default, the paper's 5).
 	OnlineSteps int
 
 	// Scratch training runs in ChunkEpisodes-sized chunks between greedy
@@ -111,7 +112,7 @@ type Config struct {
 	Seed int64
 
 	// GuardK and GuardRadius configure each session's safety guardrail
-	// (see controller.Config).
+	// (0 = the core.NewGuardrail defaults).
 	GuardK      int
 	GuardRadius float64
 
@@ -152,9 +153,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.OnlineSteps <= 0 {
-		c.OnlineSteps = 5
 	}
 	if c.MinScratchEpisodes <= 0 {
 		c.MinScratchEpisodes = 4
@@ -835,7 +833,7 @@ func (m *Manager) serve(ctx context.Context, s *session) error {
 	if err != nil {
 		return err
 	}
-	res, err := ctrl.HandleTuningRequestCtx(ctx, userDB, s.w)
+	res, err := ctrl.HandleTuningRequest(ctx, userDB, s.w)
 	if err != nil {
 		return fmt.Errorf("tuning request: %w", err)
 	}
@@ -909,19 +907,11 @@ func (m *Manager) serveDynamic(ctx context.Context, s *session, tn *core.Tuner, 
 	m.event(s, "dynamic", "serving timeline %s for %.0fh (drift threshold %.3f)",
 		tl.Name, nonZero(hours, tl.TotalHours()), nonZero(cfg.DriftThreshold, core.DefaultDriftThreshold))
 
-	guardK, guardR := cfg.GuardK, cfg.GuardRadius
-	if guardK <= 0 {
-		guardK = 3
-	}
-	if guardR <= 0 {
-		guardR = 0.05
-	}
-	rep, derr := tn.ServeDynamic(e, core.DynamicOptions{
+	rep, derr := tn.ServeDynamic(ctx, e, core.DynamicOptions{
 		HorizonHours: hours,
 		Drift:        core.DriftConfig{Threshold: cfg.DriftThreshold},
-		Guard:        core.NewGuardrail(guardK, guardR),
+		Guard:        core.NewGuardrail(cfg.GuardK, cfg.GuardRadius),
 		FineTune:     true,
-		Ctx:          ctx,
 		WarmSeed: func(state []float64, w workload.Workload) (string, bool) {
 			fp := registry.Fingerprint(state, w, s.inst.HW)
 			mt, ok := m.reg.NearestWithin(fp, cfg.MatchRadius)
@@ -1033,8 +1023,8 @@ func (m *Manager) train(ctx context.Context, s *session, tn *core.Tuner, warm bo
 			db := cfg.MakeDB(s.inst, chunkBase+int64(ep))
 			return env.New(db, cfg.Catalog, s.w)
 		}
-		rep, err := tn.OfflineTrainOpts(mk, core.TrainOptions{
-			Episodes: n, Workers: cfg.TrainWorkers, Ctx: ctx,
+		rep, err := tn.OfflineTrain(ctx, mk, core.TrainOptions{
+			Episodes: n, Workers: cfg.TrainWorkers,
 		})
 		episodes += rep.Episodes
 		if err != nil {

@@ -42,7 +42,11 @@
 // production faults. Write paths that return a Retryable error guarantee
 // they left no partial state behind.
 //
-// The package has no dependencies inside the repo, so every layer —
-// nn.WriteAtomic, the registry, the fleet journal, checkpoints — can
-// take an FS without import cycles.
+// WriteAtomic (temp file, fsync, rename, directory fsync) is the one
+// durable whole-file write: registry entries, lease records, fleet
+// journal records, checkpoints and saved models all land through it.
+//
+// The package has no dependencies inside the repo, so every layer — the
+// registry, the fleet journal, checkpoints, the CLIs — can take an FS
+// without import cycles.
 package vfs

@@ -124,6 +124,43 @@ func MkdirAllDurable(fsys FS, dir string, perm os.FileMode) error {
 	return nil
 }
 
+// WriteAtomic writes the file at path by streaming write's output into a
+// temp file in the same directory, syncing it, renaming it over path, and
+// fsyncing the directory — a crash or write error never leaves a torn
+// file at path, and a crash right after the rename cannot lose the rename
+// itself (the directory entry is durable before WriteAtomic returns). On
+// failure — including an injected ENOSPC/EIO mid-stream — the temp file
+// is removed and path is untouched, so a retry after the condition clears
+// is always safe.
+func WriteAtomic(fsys FS, path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	fail := func(err error) error {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := write(f); err != nil {
+		return fail(err)
+	}
+	if err := f.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	return fsys.SyncDir(dir)
+}
+
 // Retryable reports whether err is a transient disk-space or I/O error
 // (ENOSPC, EIO — real or injected) after which the caller may retry the
 // operation. Every write path in the repo guarantees that when it

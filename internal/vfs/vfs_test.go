@@ -2,7 +2,9 @@ package vfs
 
 import (
 	"errors"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -332,5 +334,39 @@ func TestGlob(t *testing.T) {
 	}
 	if none, err := fs.Glob("/missing/*.model"); err != nil || none != nil {
 		t.Fatalf("glob missing dir: %v %v", none, err)
+	}
+}
+
+func TestWriteAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := os.WriteFile(path, []byte("good"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A failing writer must leave the original intact and no temp litter.
+	boom := errors.New("boom")
+	err := WriteAtomic(OS, path, func(io.Writer) error { return boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "good" {
+		t.Fatalf("original clobbered: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("temp file left behind: %v", entries)
+	}
+	// A successful writer replaces the content.
+	if err := WriteAtomic(OS, path, func(w io.Writer) error {
+		_, err := w.Write([]byte("new"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("content = %q", got)
 	}
 }

@@ -22,16 +22,15 @@ for d in internal/*/ internal/rl/ddpg/ internal/simdb/lsm/; do
 done
 
 echo "== os.Rename lint =="
-# Atomic-write discipline: every durable file lands through nn.WriteAtomic
+# Atomic-write discipline: every durable file lands through vfs.WriteAtomic
 # (temp file, fsync, rename, directory fsync) — the lease files, change
 # log, registry entries and fleet journal all depend on never observing a
 # torn file. A bare os.Rename anywhere else skips the fsyncs and breaks
-# that contract on crash.
+# that contract on crash; only the vfs passthrough may call it.
 rename_hits="$(grep -rn 'os\.Rename' --include='*.go' . \
-    | grep -v '^\./internal/nn/io\.go:' \
     | grep -v '^\./internal/vfs/os\.go:' || true)"
 if [ -n "$rename_hits" ]; then
-    echo "direct os.Rename outside the atomic-write helper (use nn.WriteAtomic):" >&2
+    echo "direct os.Rename outside the vfs passthrough (use vfs.WriteAtomic):" >&2
     echo "$rename_hits" >&2
     exit 1
 fi
@@ -45,7 +44,7 @@ echo "== vfs interposition lint =="
 # may touch the os package; tests may use os.* for scaffolding.
 vfs_hits="$(grep -rn 'os\.\(OpenFile\|Rename\|Remove\|RemoveAll\|CreateTemp\|ReadFile\|WriteFile\|MkdirAll\|Mkdir\|ReadDir\|Link\|Truncate\)' \
         --include='*.go' \
-        internal/registry internal/fleet internal/crashtest internal/nn/io.go internal/core/checkpoint.go \
+        internal/registry internal/fleet internal/crashtest internal/core/checkpoint.go \
     | grep -v '_test\.go:' \
     | grep -v ':[0-9]*:[[:space:]]*//' || true)"
 if [ -n "$vfs_hits" ]; then
@@ -56,6 +55,11 @@ fi
 
 echo "== go vet =="
 go vet ./...
+
+echo "== servebench module =="
+# servebench is a separate module over this one's API; the root build and
+# test above skip it, so an API change could break the benchmark silently.
+(cd servebench && go vet ./... && go test ./...)
 
 echo "== go test (shuffled) =="
 go test -shuffle=on -timeout 120s ./...
