@@ -76,7 +76,7 @@ drift-smoke:
 	$(GO) test -count=1 -timeout 120s -run 'TestDriftSmoke' ./internal/core/ -v
 
 # bench runs the replay-contention and batched-inference microbenchmarks,
-# then the hot-path kernel/train-step benchmarks, and refreshes the
+# then the hot-path kernel/train-step/model-codec benchmarks, and refreshes the
 # tracked BENCH_hotpath.json trajectory (GEMM GFLOP/s, µs and allocs per
 # DDPG train step, batched-inference latency, episodes/sec, and the
 # speedups against the recorded naive baseline). -cpu 4 simulates four
@@ -86,6 +86,6 @@ drift-smoke:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMemoryAddSample|BenchmarkActBatched' -benchtime=0.5s -cpu 4 .
 	$(GO) test -run '^$$' -bench 'BenchmarkMul|BenchmarkMulT|BenchmarkTMul' -benchtime=0.5s ./internal/mat/
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainStepInfo|BenchmarkActBatch8' -benchtime=0.5s ./internal/rl/ddpg/
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainStepInfo|BenchmarkActBatch8|BenchmarkAgentSaveLoad' -benchtime=0.5s ./internal/rl/ddpg/
 	$(GO) run ./cmd/benchjson -out BENCH_hotpath.json
 	$(GO) run ./cmd/benchjson -check BENCH_hotpath.json

@@ -9,22 +9,28 @@ import (
 	"io"
 	"os"
 
+	"cdbtune/internal/rl/ddpg"
 	"cdbtune/internal/vfs"
 )
 
-// WriteFramed writes payload to w followed by the 8-byte integrity footer
-// (4 magic bytes + the little-endian IEEE CRC32 of the payload) that
-// checkpoints and registry entries end with. ReadFramed verifies and
-// strips the footer before any decoding happens, so a truncated or
-// bit-flipped file is rejected with a clear error instead of a gob decode
-// failure (or, worse, silently plausible garbage).
-func WriteFramed(w io.Writer, payload []byte, magic [4]byte) error {
+// WriteFramed writes the payload — the concatenation of parts, written in
+// order without joining them first — to w followed by the 8-byte
+// integrity footer (4 magic bytes + the little-endian IEEE CRC32 of the
+// payload) that checkpoints and registry entries end with. ReadFramed
+// verifies and strips the footer before any decoding happens, so a
+// truncated or bit-flipped file is rejected with a clear error instead of
+// a decode failure (or, worse, silently plausible garbage).
+func WriteFramed(w io.Writer, magic [4]byte, parts ...[]byte) error {
+	var crc uint32
+	for _, p := range parts {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
 	var footer [8]byte
 	copy(footer[:4], magic[:])
-	binary.LittleEndian.PutUint32(footer[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
+	binary.LittleEndian.PutUint32(footer[4:], crc)
 	_, err := w.Write(footer[:])
 	return err
 }
@@ -74,7 +80,7 @@ func (c *Checkpointer) fsys() vfs.FS {
 // crash-consistency harness can drive it without assembling a Tuner.
 func WriteCheckpointPayload(fsys vfs.FS, path string, payload []byte) error {
 	return vfs.WriteAtomic(fsys, path, func(w io.Writer) error {
-		return WriteFramed(w, payload, checkpointMagic)
+		return WriteFramed(w, checkpointMagic, payload)
 	})
 }
 
@@ -96,7 +102,9 @@ func ReadCheckpointPayload(fsys vfs.FS, path string) ([]byte, bool, error) {
 	return payload, true, nil
 }
 
-const checkpointVersion = 2
+// checkpointVersion is bumped whenever the blob or an encoding inside it
+// changes; Load refuses any other version before decoding the agent.
+const checkpointVersion = 3
 
 // checkpointMagic tags the 8-byte integrity footer every checkpoint ends
 // with: 4 magic bytes + the little-endian IEEE CRC32 of the gob payload.
@@ -113,9 +121,9 @@ type checkpointBlob struct {
 	NoiseSigma     float64
 	BestEval       float64
 	BestActionPerf float64
-	Agent          []byte
+	Agent          []byte // ddpg.Agent.Save
 	Memory         []byte
-	BestSnapshot   []byte
+	BestSnapshot   []byte // ddpg.WeightSnapshot.Encode; empty when none
 }
 
 // persistentMemory is satisfied by every replay-pool flavor.
@@ -148,8 +156,11 @@ func (c *Checkpointer) save(t *Tuner, rep TrainReport) error {
 	blob.NoiseSigma = t.agent.Noise.Scale()
 	blob.BestEval = t.bestEval
 	blob.BestActionPerf = t.bestActionPerf
-	if t.bestSnapshot != nil {
-		blob.BestSnapshot = append([]byte(nil), t.bestSnapshot...)
+	if err == nil && t.bestSnapshot != nil {
+		var snapBuf bytes.Buffer
+		if err = t.bestSnapshot.Encode(&snapBuf); err == nil {
+			blob.BestSnapshot = snapBuf.Bytes()
+		}
 	}
 	t.agentMu.Unlock()
 	if err != nil {
@@ -182,6 +193,13 @@ func (c *Checkpointer) Load(t *Tuner) (TrainReport, bool, error) {
 		return TrainReport{}, false, fmt.Errorf("core: checkpoint %s has version %d, want %d", c.Path, blob.Version, checkpointVersion)
 	}
 
+	var best *ddpg.WeightSnapshot
+	if len(blob.BestSnapshot) > 0 {
+		if best, err = ddpg.DecodeSnapshot(bytes.NewReader(blob.BestSnapshot)); err != nil {
+			return TrainReport{}, false, fmt.Errorf("core: checkpoint %s best-policy snapshot: %w", c.Path, err)
+		}
+	}
+
 	t.agentMu.Lock()
 	err = t.agent.Load(bytes.NewReader(blob.Agent))
 	if err == nil && len(blob.Memory) > 0 {
@@ -193,10 +211,7 @@ func (c *Checkpointer) Load(t *Tuner) (TrainReport, bool, error) {
 		t.agent.Noise.SetScale(blob.NoiseSigma)
 		t.bestEval = blob.BestEval
 		t.bestActionPerf = blob.BestActionPerf
-		t.bestSnapshot = nil
-		if len(blob.BestSnapshot) > 0 {
-			t.bestSnapshot = append([]byte(nil), blob.BestSnapshot...)
-		}
+		t.bestSnapshot = best
 	}
 	t.agentMu.Unlock()
 	if err != nil {

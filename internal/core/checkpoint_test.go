@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"cdbtune/internal/vfs"
 	"cdbtune/internal/workload"
 )
 
@@ -81,5 +83,39 @@ func TestCheckpointCRCDetectsCorruption(t *testing.T) {
 	}
 	if rep.Episodes != 2 {
 		t.Fatalf("restored report has %d episodes, want 2", rep.Episodes)
+	}
+}
+
+// TestCheckpointRejectsOlderVersion: a version-2 checkpoint, whose agent
+// bytes are in the earlier gob layout, is refused with the version error
+// before any of its agent bytes are decoded.
+func TestCheckpointRejectsOlderVersion(t *testing.T) {
+	cat := testCat(t)
+	tn, err := New(testConfig(t, cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(checkpointBlob{
+		Version:      2,
+		Iterations:   7,
+		Agent:        []byte("gob-encoded agent of an earlier build"),
+		BestSnapshot: []byte("gob-encoded best policy of an earlier build"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := WriteCheckpointPayload(vfs.OS, path, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_, found, err := (&Checkpointer{Path: path}).Load(tn)
+	if err == nil || found {
+		t.Fatalf("a version-2 checkpoint loaded: found=%v err=%v", found, err)
+	}
+	if !strings.Contains(err.Error(), "has version 2, want 3") {
+		t.Fatalf("want the version error, got: %v", err)
+	}
+	if tn.Iterations() != 0 {
+		t.Fatal("a refused checkpoint restored the iteration counter")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -148,7 +147,7 @@ type Tuner struct {
 	mu         sync.Mutex
 	iterations int
 
-	bestSnapshot []byte
+	bestSnapshot *ddpg.WeightSnapshot
 	bestEval     float64
 
 	bestActionPerf float64
@@ -304,8 +303,8 @@ type LearnerReport struct {
 type EnvFactory func(episode int) *env.Env
 
 // maybeSnapshot probes the current greedy policy on a fresh environment
-// and keeps a copy of the model when it is the best seen so far. Probe
-// steps do not enter the memory pool or the iteration count.
+// and keeps an in-memory copy of the weights when they are the best seen
+// so far. Probe steps do not enter the memory pool or the iteration count.
 func (t *Tuner) maybeSnapshot(e *env.Env) error {
 	base, err := e.Measure()
 	if err != nil {
@@ -350,24 +349,21 @@ func (t *Tuner) maybeSnapshot(e *env.Env) error {
 	t.agentMu.Lock()
 	defer t.agentMu.Unlock()
 	if t.bestSnapshot == nil || best > t.bestEval {
-		var buf bytes.Buffer
-		if err := t.agent.Save(&buf); err != nil {
-			return err
-		}
-		t.bestSnapshot = buf.Bytes()
+		t.bestSnapshot = t.agent.Snapshot()
 		t.bestEval = best
 	}
 	return nil
 }
 
-// restoreBest reloads the best snapshot taken during training.
+// restoreBest applies the best snapshot taken during training. Like a
+// model load it keeps the optimizers' Adam moments.
 func (t *Tuner) restoreBest() error {
 	t.agentMu.Lock()
 	defer t.agentMu.Unlock()
 	if t.bestSnapshot == nil {
 		return nil
 	}
-	return t.agent.Load(bytes.NewReader(t.bestSnapshot))
+	return t.agent.SetWeights(t.bestSnapshot)
 }
 
 // epStats accumulates one episode's outcome and telemetry while it runs.

@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 
 	"cdbtune/internal/env"
 	"cdbtune/internal/knobs"
 	"cdbtune/internal/metrics"
 	"cdbtune/internal/reward"
+	"cdbtune/internal/rl"
 	"cdbtune/internal/rl/ddpg"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
@@ -341,6 +343,73 @@ func TestSnapshotSelectionKeepsBestPolicy(t *testing.T) {
 	}
 	if tn.bestEval <= 0 {
 		t.Fatalf("bestEval = %v", tn.bestEval)
+	}
+}
+
+// TestRestoreBestKeepsAdamMoments: restoreBest applies the in-memory
+// best-policy snapshot through SetWeights, which keeps the optimizers'
+// Adam moments exactly as a model load does, while Agent.Restore — the
+// supervisor's rollback — resets them. Three identically seeded tuners
+// train in lockstep; after restoring a snapshot of their own current
+// weights, the next update must match the untouched twin bit for bit
+// for restoreBest and differ from it for Restore.
+func TestRestoreBestKeepsAdamMoments(t *testing.T) {
+	cat := testCat(t)
+	var tuners [3]*Tuner
+	for i := range tuners {
+		tn, err := New(testConfig(t, cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuners[i] = tn
+	}
+	train := func(tn *Tuner, steps int) {
+		for i := 0; i < steps; i++ {
+			if _, ok := tn.agent.TrainStepInfo(); !ok {
+				t.Fatal("train step refused to run")
+			}
+		}
+	}
+	saved := func(tn *Tuner) []byte {
+		var buf bytes.Buffer
+		if err := tn.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	rng := rand.New(rand.NewSource(4))
+	unit := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.Float64()
+		}
+		return v
+	}
+	for i := 0; i < 96; i++ {
+		tr := rl.Transition{State: unit(metrics.NumMetrics), Action: unit(cat.Len()), Reward: rng.NormFloat64(), NextState: unit(metrics.NumMetrics)}
+		for _, tn := range tuners {
+			tn.agent.Observe(tr)
+		}
+	}
+	for _, tn := range tuners {
+		train(tn, 6)
+	}
+	kept, twin, reset := tuners[0], tuners[1], tuners[2]
+	kept.bestSnapshot = kept.agent.Snapshot()
+	if err := kept.restoreBest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reset.agent.Restore(reset.agent.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range tuners {
+		train(tn, 2)
+	}
+	if !bytes.Equal(saved(kept), saved(twin)) {
+		t.Fatal("restoreBest changed the next update: the Adam moments were not kept")
+	}
+	if bytes.Equal(saved(reset), saved(twin)) {
+		t.Fatal("Agent.Restore left the next update unchanged: the Adam moments were not reset")
 	}
 }
 

@@ -30,6 +30,30 @@
 // network passes this way). Within one pass the mat kernels may fan out
 // across goroutines internally; that is invisible to callers.
 //
+// # Serialization
+//
+// WriteState (and Network.Save, which writes the live buffers without a
+// copy) encodes a NetworkState in a fixed binary layout; ReadState (and
+// Network.Load) decodes it. All integers and floats are little-endian:
+//
+//	magic   4 bytes   "nns1"
+//	group × 3         parameters (layer order), BatchNorm running means,
+//	                  BatchNorm running variances
+//	  count  uint32   number of tensors in the group
+//	  tensor × count
+//	    len  uint32   number of values
+//	    vals len × 8  IEEE-754 float64 bit patterns
+//
+// Values round-trip bit for bit, so a saved and reloaded network computes
+// exactly what the original did. The architecture is not encoded: Load
+// checks the decoded shapes against the receiving network. A stream with
+// another magic tag — including the gob encoding earlier builds wrote — is
+// refused. ReadState never allocates on the strength of a length prefix
+// alone: tensors are read in bounded chunks, and a prefix that claims more
+// values than the stream holds fails as truncation (io.ErrUnexpectedEOF).
+// The DDPG agent's model format is five such blocks in a row (see
+// ddpg.Agent.Save).
+//
 // # Weight decay
 //
 // SGD and Adam apply L2 weight decay to weight matrices only. Bias rows

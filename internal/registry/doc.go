@@ -4,15 +4,20 @@
 // request can be matched against previously trained models and fine-tune
 // the closest one instead of training from scratch.
 //
-// Each entry is one file (<id>.model) holding the entry metadata plus the
-// serialized agent, written atomically (vfs.WriteAtomic: temp file, fsync,
-// rename, directory fsync) and framed with the same CRC32 integrity
-// footer checkpoints use, so a torn or bit-flipped entry is detected and
-// skipped loudly rather than served. Repeated fine-tunes of the same
-// model update the entry in place and bump its version instead of
-// duplicating it; when the collection outgrows MaxEntries, the
-// least-recently-updated unpinned entry is evicted (Promote pins an entry
-// against eviction).
+// Each entry is one file (<id>.model), written atomically
+// (vfs.WriteAtomic: temp file, fsync, rename, directory fsync). Its
+// payload is a little-endian uint32 length, that many bytes of
+// gob-encoded Meta, and then the serialized agent verbatim (the
+// ddpg.Agent.Save bytes, never re-encoded). The payload is followed by
+// the 8-byte CRC32 integrity footer checkpoints also use, tagged "reg2".
+// A torn or bit-flipped entry is detected and skipped loudly rather than
+// served. Reads slice the model straight out of the verified file
+// buffer, so a lookup makes no copy of the model beyond the file read.
+// An entry framed "reg1" (the earlier all-gob layout) is refused with a
+// reason naming the older version. Repeated fine-tunes of the same model
+// update the entry in place and bump its version instead of duplicating
+// it; when the collection outgrows MaxEntries, the least-recently-updated
+// unpinned entry is evicted (Promote pins an entry against eviction).
 //
 // Fingerprints are built from the normalized metric state at the default
 // configuration (Fingerprint). The dynamic serving loop also matches on

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -18,7 +19,12 @@ import (
 )
 
 // entryMagic tags the CRC32 integrity footer of every registry entry.
-var entryMagic = [4]byte{'r', 'e', 'g', '1'}
+// legacyEntryMagic is the footer of the earlier gob-framed layout, which
+// is recognized only to be refused with a precise reason.
+var (
+	entryMagic       = [4]byte{'r', 'e', 'g', '2'}
+	legacyEntryMagic = [4]byte{'r', 'e', 'g', '1'}
+)
 
 // DefaultMaxEntries bounds the collection when Open is not told otherwise.
 const DefaultMaxEntries = 64
@@ -58,7 +64,9 @@ type Meta struct {
 	Seq int64
 }
 
-// entryBlob is the on-disk format inside the CRC frame.
+// entryBlob is one decoded entry file. On disk the CRC-framed payload is
+// a little-endian uint32 length, that many bytes of gob-encoded Meta, and
+// then the model bytes verbatim (see the package doc).
 type entryBlob struct {
 	Meta  Meta
 	Model []byte
@@ -559,34 +567,50 @@ func (r *Registry) noteCorrupt(file string, err error) {
 	r.logf("registry: skipping corrupt entry %s: %v", file, err)
 }
 
-// writeLocked persists one entry atomically with the CRC frame.
+// writeLocked persists one entry atomically with the CRC frame. Only the
+// metadata goes through gob; the model bytes are written as they are.
 func (r *Registry) writeLocked(meta Meta, model []byte) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entryBlob{Meta: meta, Model: model}); err != nil {
+	var head bytes.Buffer
+	head.Write(make([]byte, 4))
+	if err := gob.NewEncoder(&head).Encode(meta); err != nil {
 		return fmt.Errorf("registry: encode %q: %w", meta.ID, err)
 	}
+	binary.LittleEndian.PutUint32(head.Bytes(), uint32(head.Len()-4))
 	return vfs.WriteAtomic(r.fs, r.path(meta.ID), func(w io.Writer) error {
-		return core.WriteFramed(w, buf.Bytes(), entryMagic)
+		return core.WriteFramed(w, entryMagic, head.Bytes(), model)
 	})
 }
 
-// readEntry reads and verifies one entry file.
+// readEntry reads and verifies one entry file. The returned model slices
+// the file buffer read here, so it is the caller's without a copy.
 func readEntry(fsys vfs.FS, path string) (entryBlob, error) {
 	var blob entryBlob
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return blob, err
 	}
+	if len(data) >= 8 && [4]byte(data[len(data)-8:len(data)-4]) == legacyEntryMagic {
+		return blob, fmt.Errorf("registry entry: written by an older version (format %s); retrain the model", legacyEntryMagic[:])
+	}
 	payload, err := core.ReadFramed(data, entryMagic, "registry entry")
 	if err != nil {
 		return blob, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&blob); err != nil {
-		return blob, fmt.Errorf("registry entry: decode: %w", err)
+	if len(payload) < 4 {
+		return blob, fmt.Errorf("registry entry: payload of %d bytes has no metadata header", len(payload))
+	}
+	metaLen := binary.LittleEndian.Uint32(payload)
+	if uint64(metaLen) > uint64(len(payload)-4) {
+		return blob, fmt.Errorf("registry entry: metadata length %d overruns the %d-byte payload", metaLen, len(payload))
+	}
+	body := payload[4:]
+	if err := gob.NewDecoder(bytes.NewReader(body[:metaLen])).Decode(&blob.Meta); err != nil {
+		return blob, fmt.Errorf("registry entry: decode metadata: %w", err)
 	}
 	if blob.Meta.ID == "" {
 		return blob, fmt.Errorf("registry entry: blank ID")
 	}
+	blob.Model = body[metaLen:len(body):len(body)]
 	return blob, nil
 }
 

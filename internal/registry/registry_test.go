@@ -1,12 +1,15 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"cdbtune/internal/core"
 	"cdbtune/internal/simdb"
 	"cdbtune/internal/workload"
 )
@@ -295,5 +298,77 @@ func TestNearestWithinRadius(t *testing.T) {
 	r2 := quietOpen(t, t.TempDir())
 	if _, ok := r2.NearestWithin(fp(0.2), 0); ok {
 		t.Fatal("NearestWithin matched in an empty registry")
+	}
+}
+
+// TestLegacyEntryRefused: an entry file in the earlier layout (the whole
+// entry gob-encoded inside a reg1 frame) is not served. Open and Verify
+// both report it with a reason naming the older version, and Nearest
+// skips it even when it is the closest fingerprint.
+func TestLegacyEntryRefused(t *testing.T) {
+	dir := t.TempDir()
+	r := quietOpen(t, dir)
+	if _, err := r.Put(Meta{ID: "far", Workload: "w", Fingerprint: fp(50)}, fakeModel("far")); err != nil {
+		t.Fatal(err)
+	}
+
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(entryBlob{Meta: Meta{ID: "old", Workload: "w", Fingerprint: fp(1), Version: 1}, Model: fakeModel("old")}); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := core.WriteFramed(&file, legacyEntryMagic, blob.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "old.model"), file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r = quietOpen(t, dir)
+	if reason := r.Corrupt()["old.model"]; !strings.Contains(reason, "written by an older version") {
+		t.Fatalf("Corrupt()[old.model] = %q, want the older-version reason", reason)
+	}
+	healthy, corrupt := r.Verify()
+	if healthy != 1 || !strings.Contains(corrupt["old.model"], "written by an older version") {
+		t.Fatalf("Verify() = %d healthy, %v; want 1 healthy and old.model refused as older", healthy, corrupt)
+	}
+	m, ok := r.Nearest(fp(1))
+	if !ok || m.Meta.ID != "far" || !bytes.Equal(m.Model, fakeModel("far")) {
+		t.Fatalf("Nearest = %+v, %v; want the healthy entry, skipping the legacy one", m.Meta, ok)
+	}
+}
+
+// TestEntryModelBytesVerbatim: the model bytes a lookup returns are the
+// stored bytes exactly, and a metadata length prefix that overruns the
+// payload is refused as corruption.
+func TestEntryModelBytesVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	r := quietOpen(t, dir)
+	model := append(fakeModel("v"), 0, 0xff, 0)
+	stored, err := r.Put(Meta{Workload: "w", Fingerprint: fp(3)}, model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := r.Get(stored.ID)
+	if err != nil || !bytes.Equal(got, model) {
+		t.Fatalf("Get returned %q, %v; want the stored bytes", got, err)
+	}
+
+	path := filepath.Join(dir, stored.ID+".model")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(data[:len(data)-8])
+	bad[3] = 0x7f // metadata length far past the payload
+	var file bytes.Buffer
+	if err := core.WriteFramed(&file, entryMagic, bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Get(stored.ID); err == nil || !strings.Contains(err.Error(), "overruns") {
+		t.Fatalf("Get of an overrunning metadata length: err = %v", err)
 	}
 }

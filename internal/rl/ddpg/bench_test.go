@@ -1,6 +1,7 @@
 package ddpg
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -56,5 +57,28 @@ func BenchmarkActBatch8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.ActBatch(states)
+	}
+}
+
+// BenchmarkAgentSaveLoad round-trips the paper-shape agent (63 metrics →
+// 266 knobs, Table 5 network) through Save and Load — the model codec
+// cost a registry match and write-back pay per serving job.
+func BenchmarkAgentSaveLoad(b *testing.B) {
+	a := paperShapeAgent()
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := a.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := a.Load(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

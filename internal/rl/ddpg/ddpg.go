@@ -1,7 +1,6 @@
 package ddpg
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
@@ -610,14 +609,18 @@ func (a *Agent) QValue(state, action []float64) float64 {
 
 // Save serializes actor, critic, their targets, and the remembered best
 // configuration (the self-imitation target that also seeds online
-// recommendations).
+// recommendations) in the snapshot layout WeightSnapshot.Encode writes:
+// the four networks' nn.WriteState encodings in networks() order, then
+// one more state block whose single tensor is the self-imitation target
+// (no tensor when unset). The weights are written straight from the
+// networks, without an intermediate copy.
 func (a *Agent) Save(w io.Writer) error {
-	for _, n := range a.networks() {
+	for i, n := range a.networks() {
 		if err := n.Save(w); err != nil {
-			return fmt.Errorf("ddpg: save: %w", err)
+			return fmt.Errorf("ddpg: save %s: %w", netNames[i], err)
 		}
 	}
-	if err := gob.NewEncoder(w).Encode(agentExtras{BCTarget: a.bcTarget}); err != nil {
+	if err := writeBCTarget(w, a.bcTarget); err != nil {
 		return fmt.Errorf("ddpg: save extras: %w", err)
 	}
 	return nil
@@ -626,56 +629,16 @@ func (a *Agent) Save(w io.Writer) error {
 // netNames labels the networks in Save/Load order for error messages.
 var netNames = [...]string{"actor", "actor target", "critic", "critic target"}
 
-// Load restores state previously written by Save into an agent built with
-// the same Config. Everything is decoded and validated before any weight
-// is touched: each network's layer dimensions must match the architecture
-// Config builds, every weight and BatchNorm statistic must be finite, and
-// a stored self-imitation target must fit ActionDim. A corrupt or
-// mismatched model is rejected with a descriptive error and the agent is
-// left exactly as it was.
+// Load restores state previously written by Save (or WeightSnapshot.Encode)
+// into an agent built with the same Config: it decodes the stream with
+// DecodeSnapshot and applies it through the same validation SetWeights
+// runs, so a corrupt or mismatched model is rejected with a descriptive
+// error and the agent is left exactly as it was. Like SetWeights it keeps
+// the optimizers' Adam moments.
 func (a *Agent) Load(r io.Reader) error {
-	nets := a.networks()
-	states := make([]*nn.NetworkState, len(nets))
-	for i := range nets {
-		st, err := nn.ReadState(r)
-		if err != nil {
-			return fmt.Errorf("ddpg: load %s: %w", netNames[i], err)
-		}
-		states[i] = st
+	s, err := DecodeSnapshot(r)
+	if err != nil {
+		return err
 	}
-	var ex agentExtras
-	if err := gob.NewDecoder(r).Decode(&ex); err != nil {
-		return fmt.Errorf("ddpg: load extras: %w", err)
-	}
-	for i, st := range states {
-		if err := nets[i].CheckState(st); err != nil {
-			return fmt.Errorf("ddpg: load %s: model does not match Config (state %d, action %d): %w",
-				netNames[i], a.cfg.StateDim, a.cfg.ActionDim, err)
-		}
-		if err := st.Finite(); err != nil {
-			return fmt.Errorf("ddpg: load %s: corrupt model: %w", netNames[i], err)
-		}
-	}
-	if ex.BCTarget != nil {
-		if len(ex.BCTarget) != a.cfg.ActionDim {
-			return fmt.Errorf("ddpg: load extras: best-action target has %d dims, want %d", len(ex.BCTarget), a.cfg.ActionDim)
-		}
-		for _, v := range ex.BCTarget {
-			if !finite(v) {
-				return fmt.Errorf("ddpg: load extras: best-action target contains non-finite value %v", v)
-			}
-		}
-	}
-	for i, st := range states {
-		if err := nets[i].SetState(st); err != nil {
-			return fmt.Errorf("ddpg: load %s: %w", netNames[i], err)
-		}
-	}
-	a.bcTarget = ex.BCTarget
-	return nil
-}
-
-// agentExtras is the non-network agent state included in Save/Load.
-type agentExtras struct {
-	BCTarget []float64
+	return a.applyWeights(s, "load")
 }

@@ -15,7 +15,8 @@
 //   - Act, ActBatch, ActNoisy, ActNoisyFrom, Perturb (rng and/or network
 //     reads that race with parameter updates)
 //   - TrainStepInfo (parameter updates)
-//   - Save, Load, SetBCTarget, BCTarget, QValue
+//   - Save, Load, Snapshot, SetWeights, Restore, SetBCTarget, BCTarget,
+//     QValue
 //
 // Observe is the one exception, and only conditionally: it does nothing
 // but Memory.Add, so when the agent was built with Config.MemoryShards
@@ -28,4 +29,16 @@
 // one eval-mode forward pass (nn.Network.Infer, which writes no backward
 // caches) over many states, so N concurrent action requests cost one lock
 // acquisition and one network traversal instead of N.
+//
+// # Weights and snapshots
+//
+// A WeightSnapshot is an in-memory copy of the four networks and the
+// self-imitation target. SetWeights is the single validated apply path:
+// Load decodes a model and applies it through it, the tuner restores its
+// best policy with it, and Restore is SetWeights plus an Adam-moment
+// reset for the learner-health supervisor. Agent.Save and
+// WeightSnapshot.Encode write the same bytes: the actor, actor target,
+// critic and critic target as nn.WriteState blocks, then a fifth block
+// whose single tensor is the self-imitation target (no tensor when none
+// is set). DecodeSnapshot reads either.
 package ddpg

@@ -99,6 +99,8 @@ go test -race -short -shuffle=on -timeout 20m ./...
 
 echo "== bench smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkMemoryAddSample|BenchmarkActBatched' -benchtime=1x -cpu 4 .
+# The paper-shape model codec round trip (Agent.Save + Agent.Load).
+go test -run '^$' -bench 'BenchmarkAgentSaveLoad' -benchtime=1x ./internal/rl/ddpg/
 
 echo "== hot-path bench smoke =="
 # A short-benchtime benchjson emission into a scratch file, validated by
